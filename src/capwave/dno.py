@@ -15,10 +15,14 @@ Discretization: Fourier collocation in x, Chebyshev collocation in z.
 The solver is matrix-free GMRES preconditioned by the per-frequency
 factorization of the flat-interface operator, with iterative refinement;
 a dense assembly of the same discrete operator is kept as an oracle path.
+The GMRES kernel works in real arithmetic (real FFTs, classical Gram-Schmidt
+with one reorthogonalization pass); a complex psi is solved through
+real-linearity, G(Re psi) + i G(Im psi).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +50,18 @@ class GeometryError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Elliptic solve failed to reach the requested residual."""
+    """Elliptic solve failed to reach the requested residual.
 
-    def __init__(self, message, residual=None):
+    ``residual_history`` holds the preconditioned residual after each
+    refinement cycle and ``iterations`` the total GMRES iterations, so a
+    failed solve shows how it stagnated.
+    """
+
+    def __init__(self, message, residual=None, residual_history=(), iterations=0):
         super().__init__(message)
         self.residual = residual
+        self.residual_history = tuple(residual_history)
+        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -149,9 +160,11 @@ class _StripOperator:
         self.nz = nz
         self.z, self.Dz = chebyshev(nz)
         self.Dz2 = self.Dz @ self.Dz
-        self._sym1 = (1j * grid.xi).copy()
-        self._sym1[grid.n // 2] = 0.0
-        self._sym2 = -grid.xi**2
+        # half-spectrum derivative symbols for rfft; Nyquist zeroed when odd
+        xi = np.abs(grid.xi[: grid.n // 2 + 1])
+        self._sym1 = 1j * xi
+        self._sym1[-1] = 0.0
+        self._sym2 = -xi**2
         ex = eta.values.real
         ex1 = x_derivative(eta).values.real
         self.eta_x = ex1
@@ -180,16 +193,15 @@ class _StripOperator:
 
     # -- operator application (interior rows + BC rows substituted) ------
     def apply(self, v: np.ndarray) -> np.ndarray:
-        real_in = np.isrealobj(v)
+        if np.iscomplexobj(v):
+            return self.apply(v.real) + 1j * self.apply(v.imag)
+        n = self.grid.n
         vz = self.Dz @ v
         vzz = self.Dz2 @ v
         # one forward transform serves both x-derivatives
-        vh = np.fft.fft(v, axis=-1)
-        vx = np.fft.ifft(vh * self._sym1, axis=-1)
-        vxx = np.fft.ifft(vh * self._sym2, axis=-1)
-        if real_in:
-            vx = vx.real
-            vxx = vxx.real
+        vh = np.fft.rfft(v, axis=-1)
+        vx = np.fft.irfft(vh * self._sym1, n, axis=-1)
+        vxx = np.fft.irfft(vh * self._sym2, n, axis=-1)
         out = self.czz * vzz + vxx + self.cxz * (self.Dz @ vx) + self.cz * vz
         out[0, :] = v[0, :]
         if self.geo.kind == "flat_bottom":
@@ -239,39 +251,32 @@ _PRECOND_CACHE: dict = {}
 
 
 def _flat_preconditioner(grid, nz, geo):
-    """Stacked inverses of the per-mode flat operators, shape (n, nz, nz)."""
+    """Inverses of the flat operators on the rfft half spectrum, (n//2+1, nz, nz)."""
     key = (grid.n, grid.length, nz, geo.kind, geo.depth)
     hit = _PRECOND_CACHE.get(key)
     if hit is not None:
         return hit
     _, Dz = chebyshev(nz)
-    Dz2 = Dz @ Dz
-    czz0 = 1.0 / geo.depth**2
-    mats = np.empty((grid.n, nz, nz))
-    base = czz0 * Dz2
+    base = Dz @ Dz / geo.depth**2
     base[0, :] = 0.0
-    base[0, 0] = 0.0
+    base[0, 0] = 1.0
     base[-1, :] = Dz[-1, :]
     interior = np.zeros((nz, nz))
     interior[1:-1, 1:-1] = np.eye(nz - 2)
-    top = np.zeros((nz, nz))
-    top[0, 0] = 1.0
-    for k in range(grid.n):
-        mats[k] = base - grid.xi[k] ** 2 * interior + top
-    inv = np.linalg.inv(mats)
+    xi2 = grid.xi[: grid.n // 2 + 1] ** 2
+    inv = np.linalg.inv(base[None] - xi2[:, None, None] * interior[None])
     _PRECOND_CACHE[key] = inv
     return inv
 
 
 def _apply_preconditioner(inv, w: np.ndarray) -> np.ndarray:
-    wh = np.fft.fft(w, axis=-1)
-    # batched per-mode solves; real and imaginary parts separately so the
-    # stacked real inverses are applied without dtype promotion copies
-    cols = np.ascontiguousarray(wh.T)
-    re = np.matmul(inv, cols.real[:, :, None])[:, :, 0]
-    im = np.matmul(inv, cols.imag[:, :, None])[:, :, 0]
-    out = np.fft.ifft((re + 1j * im).T, axis=-1)
-    return out.real if np.isrealobj(w) else out
+    if np.iscomplexobj(w):
+        return _apply_preconditioner(inv, w.real) + 1j * _apply_preconditioner(inv, w.imag)
+    # per-mode solves as one batched matmul: for each mode the (nz, 2)
+    # right-hand side stacks the real and imaginary parts of the spectrum
+    cols = np.ascontiguousarray(np.fft.rfft(w, axis=-1).T)
+    out = np.matmul(inv, cols.view(np.float64).reshape(*cols.shape, 2))
+    return np.fft.irfft(out.view(np.complex128)[..., 0].T, w.shape[-1], axis=-1)
 
 
 @dataclass
@@ -279,9 +284,10 @@ class StripSolution:
     """Lifted potential v(x, z) on the flattened strip with its residual.
 
     ``residual`` is measured on the flat-preconditioned (row-equilibrated)
-    system, which is the error-equivalent metric; the raw collocation
-    residual carries the nz^4 conditioning of the Chebyshev second
-    derivative and is kept in ``residual_raw``.
+    system, ||M (A v - b)|| / ||M b||, which is the error-equivalent metric.
+    ``residual_history`` holds that residual after each GMRES refinement
+    cycle and ``iterations`` the total GMRES iterations (empty and 0 for the
+    dense oracle path).
     """
 
     v: np.ndarray  # (nz, n), v[0] is the surface row z = 0
@@ -292,19 +298,20 @@ class StripSolution:
     psi: Field
     residual: float
     operator: _StripOperator
-    residual_raw: float = 0.0
+    residual_history: tuple = ()
+    iterations: int = 0
 
     def coordinates(self) -> CoordinateMap:
         return coordinate_map(self.eta, self.geo, len(self.z))
 
     def surface_dz(self) -> np.ndarray:
-        return (self.operator.Dz @ self.v)[0, :]
+        return self.operator.Dz[0] @ self.v
 
     def trace_dn(self) -> Field:
         """(1+eta_x^2)/dz_rho * dv/dz - eta_x * dv/dx at z = 0."""
         op = self.operator
         vz0 = self.surface_dz()
-        vx0 = _dx(self.v, self.grid.xi, 1)[0, :]
+        vx0 = _dx(self.v[0], self.grid.xi, 1)
         g = (1.0 + op.eta_x**2) / op.dz_rho_surface * vz0 - op.eta_x * vx0
         return Field(self.grid, g)
 
@@ -332,32 +339,47 @@ def solve_strip(
         raise ValueError("nz must be at least 8")
     op = _StripOperator(eta, geo, nz)
     b = op.rhs(psi)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0:
+    if np.linalg.norm(b) == 0:
         return StripSolution(np.zeros_like(b), op.z, eta.grid, geo, eta, psi, 0.0, op)
 
+    history, iterations = (), 0
     if method == "dense":
         A = op.dense_matrix()
         v = np.linalg.solve(A, b.ravel()).reshape(nz, eta.grid.n)
+        inv = _flat_preconditioner(eta.grid, nz, geo)
+        res = np.linalg.norm(_apply_preconditioner(inv, op.apply(v) - b)) \
+            / np.linalg.norm(_apply_preconditioner(inv, b))
     elif method == "gmres":
-        v = _gmres_solve(op, b, tol, maxiter)
+        # real-linearity: the real and imaginary parts are separate real solves
+        parts = (b.real, b.imag) if np.iscomplexobj(b) else (b,)
+        vs, mr, mb, its = zip(*(_gmres_solve(op, part, tol, maxiter) for part in parts))
+        v = vs[0] if len(vs) == 1 else vs[0] + 1j * vs[1]
+        iterations = sum(its)
+        # ||M r|| / ||M b|| over all parts after each cycle; a part that
+        # stopped early keeps its last residual
+        history = tuple(
+            float(np.hypot.reduce([h[min(c, len(h) - 1)] for h in mr]) / np.hypot.reduce(mb))
+            for c in range(max(map(len, mr))))
+        res = history[-1]
     else:
         raise ValueError(f"unknown solve method {method!r}")
 
-    inv = _flat_preconditioner(eta.grid, nz, geo)
-    raw = op.apply(v) - b
-    res_raw = np.linalg.norm(raw) / bnorm
-    res = np.linalg.norm(_apply_preconditioner(inv, raw)) \
-        / np.linalg.norm(_apply_preconditioner(inv, b))
     if res > max(tol * 100, 1e-10):
         raise SolverError(
-            f"strip solve residual {res:.3e} above tolerance (method={method})",
-            residual=res,
+            f"strip solve residual {res:.3e} above tolerance (method={method}, "
+            f"{iterations} GMRES iterations, cycle residuals "
+            f"{', '.join(f'{h:.3e}' for h in history)})",
+            residual=res, residual_history=history, iterations=iterations,
         )
-    return StripSolution(v, op.z, eta.grid, geo, eta, psi, res, op, res_raw)
+    return StripSolution(v, op.z, eta.grid, geo, eta, psi, res, op, history, iterations)
 
 
-def _gmres_solve(op: _StripOperator, b: np.ndarray, tol: float, maxiter: int) -> np.ndarray:
+def _gmres_solve(op: _StripOperator, b: np.ndarray, tol: float, maxiter: int):
+    """GMRES with iterative refinement for one real right-hand side.
+
+    Returns the solution, ||M r|| after each refinement cycle, ||M b|| and
+    the total GMRES iterations.
+    """
     grid, nz = op.grid, op.nz
     shape = (nz, grid.n)
     inv = _flat_preconditioner(grid, nz, op.geo)
@@ -368,71 +390,79 @@ def _gmres_solve(op: _StripOperator, b: np.ndarray, tol: float, maxiter: int) ->
     def apply_m(w):
         return _apply_preconditioner(inv, w.reshape(shape)).ravel()
 
-    mb_norm = np.linalg.norm(apply_m(b.ravel()))
-    v = np.zeros(b.size, dtype=b.dtype)
-    r = b.ravel().copy()
+    b = b.ravel()
+    z = apply_m(b)  # M r for the zero initial guess
+    mb_norm = np.linalg.norm(z)
+    v = np.zeros(b.size)
+    history = []
+    iterations = 0
+    if mb_norm == 0:
+        return v.reshape(shape), [0.0], 0.0, 0
     # full GMRES plus iterative refinement on the preconditioned residual
     for _ in range(3):
-        v = v + _pgmres(apply_a, apply_m, r, 0.2 * tol, maxiter)
-        r = b.ravel() - apply_a(v)
-        if np.linalg.norm(apply_m(r)) <= tol * mb_norm:
+        dv, its = _pgmres(apply_a, apply_m, z, 0.2 * tol, maxiter)
+        v += dv
+        iterations += its
+        z = apply_m(b - apply_a(v))
+        history.append(float(np.linalg.norm(z)))
+        if history[-1] <= tol * mb_norm:
             break
-    return v.reshape(shape)
+    return v.reshape(shape), history, float(mb_norm), iterations
 
 
-def _pgmres(apply_a, apply_m, b, rtol, maxiter):
-    """Left-preconditioned full GMRES with Givens rotations."""
-    z0 = apply_m(b)
+def _pgmres(apply_a, apply_m, z0, rtol, maxiter):
+    """Left-preconditioned full GMRES with Givens rotations, real arithmetic.
+
+    ``z0`` is the preconditioned residual M r of the system to correct.
+    Returns the correction and the number of iterations taken.  The Arnoldi
+    step orthogonalizes by classical Gram-Schmidt with one full
+    reorthogonalization pass (CGS2), as two matrix-vector products per pass.
+    """
     beta = np.linalg.norm(z0)
     if beta == 0:
-        return np.zeros_like(b)
-    dtype = complex if np.iscomplexobj(z0) else float
-    m = min(maxiter, b.size)
-    basis = np.empty((m + 1, b.size), dtype=dtype)
+        return np.zeros_like(z0), 0
+    m = min(maxiter, z0.size)
+    basis = np.empty((m + 1, z0.size))
     basis[0] = z0 / beta
-    h = np.zeros((m + 1, m), dtype=dtype)
-    cs = np.zeros(m, dtype=dtype)
-    sn = np.zeros(m, dtype=dtype)
-    g = np.zeros(m + 1, dtype=dtype)
-    g[0] = beta
-    k_used = 0
+    h = np.zeros((m, m))  # upper triangle of the rotated Hessenberg matrix
+    # rotations and the rotated right-hand side as Python floats: the
+    # scalar recurrences below are faster on them than on numpy scalars
+    cs, sn = [], []
+    g = [float(beta)]
+    k_used = steps = 0
     for k in range(m):
+        steps = k + 1
         w = apply_m(apply_a(basis[k]))
-        # modified Gram-Schmidt with one reorthogonalization pass
-        for i in range(k + 1):
-            h[i, k] = np.vdot(basis[i], w)
-            w -= h[i, k] * basis[i]
-        for i in range(k + 1):
-            corr = np.vdot(basis[i], w)
-            h[i, k] += corr
-            w -= corr * basis[i]
-        hk1 = np.linalg.norm(w)
-        if k + 1 <= m and hk1 > 0:
+        q = basis[: k + 1]
+        c = q @ w
+        w -= c @ q
+        d = q @ w
+        w -= d @ q
+        hk1 = float(np.linalg.norm(w))
+        if hk1 > 0:
             basis[k + 1] = w / hk1
-        h[k + 1, k] = hk1
+        col = (c + d).tolist()
         # previously accumulated rotations
         for i in range(k):
-            tmp = cs[i] * h[i, k] + sn[i] * h[i + 1, k]
-            h[i + 1, k] = -np.conj(sn[i]) * h[i, k] + np.conj(cs[i]) * h[i + 1, k]
-            h[i, k] = tmp
-        a, bb = h[k, k], h[k + 1, k]
-        r = np.hypot(abs(a), abs(bb))
+            col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                  -sn[i] * col[i] + cs[i] * col[i + 1])
+        a = col[k]
+        r = math.hypot(a, hk1)
         if r == 0:
-            k_used = k
             break
-        cs[k] = np.conj(a) / r
-        sn[k] = np.conj(bb) / r
-        h[k, k] = r
-        h[k + 1, k] = 0.0
-        g[k + 1] = -np.conj(sn[k]) * g[k]
+        cs.append(a / r)
+        sn.append(hk1 / r)
+        col[k] = r
+        h[: k + 1, k] = col
+        g.append(-sn[k] * g[k])
         g[k] = cs[k] * g[k]
         k_used = k + 1
         if abs(g[k + 1]) <= rtol * beta or hk1 == 0:
             break
     if k_used == 0:
-        return np.zeros_like(b)
+        return np.zeros_like(z0), steps
     y = np.linalg.solve(h[:k_used, :k_used], g[:k_used])
-    return (y[:, None] * basis[:k_used]).sum(axis=0)
+    return y @ basis[:k_used], steps
 
 
 def dirichlet_neumann(eta: Field, psi: Field, geo: Geometry, nz: int,

@@ -4,9 +4,11 @@ and finite-difference oracles."""
 import numpy as np
 import pytest
 
+from capwave import dno
 from capwave.dno import (
     Geometry,
     GeometryError,
+    SolverError,
     cancellation_residual,
     compute_B_V,
     dirichlet_neumann,
@@ -67,6 +69,69 @@ def test_gmres_matches_dense_assembly(geo):
     s_dn = solve_strip(eta, psi, geo, 16, method="dense")
     scale = np.max(np.abs(s_dn.v))
     assert np.max(np.abs(s_it.v - s_dn.v)) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("geo", [FLAT, STRIP])
+def test_gmres_matches_dense_at_large_amplitude(geo):
+    # amplitude 0.9 of the depth: GMRES needs full refinement cycles here
+    grid = Grid(32, 2 * np.pi)
+    eta = cos_field(grid, 1, 0.9)
+    psi = Field(grid, np.sin(grid.x) + 0.3 * np.cos(3 * grid.x))
+    s_it = solve_strip(eta, psi, geo, 16, method="gmres")
+    s_dn = solve_strip(eta, psi, geo, 16, method="dense")
+    assert np.max(np.abs(s_it.v - s_dn.v)) <= 1e-9 * np.max(np.abs(s_dn.v))
+    g_it, g_dn = s_it.trace_dn(), s_dn.trace_dn()
+    assert np.max(np.abs(g_it.values - g_dn.values)) <= 1e-9 * g_dn.max_abs()
+    assert s_it.iterations > 0
+    assert s_it.residual == s_it.residual_history[-1]
+    assert s_dn.residual_history == () and s_dn.iterations == 0
+
+
+def test_half_spectrum_preconditioner_matches_full_fft_reference():
+    nz, geo = 16, Geometry("flat_bottom", 1.3)
+    inv = dno._flat_preconditioner(GRID, nz, geo)
+    assert inv.shape == (GRID.n // 2 + 1, nz, nz)
+    # reference: per-mode solves of the flat operator on the full complex spectrum
+    _, dz = dno.chebyshev(nz)
+    flat = dz @ dz / geo.depth**2
+    flat[0, :] = 0.0
+    flat[0, 0] = 1.0
+    flat[-1, :] = dz[-1, :]
+    interior = np.diag(np.r_[0.0, np.ones(nz - 2), 0.0])
+    w = np.random.default_rng(3).standard_normal((nz, GRID.n))
+    wh = np.fft.fft(w, axis=-1)
+    ref = np.empty_like(wh)
+    for k, xi in enumerate(GRID.xi):
+        ref[:, k] = np.linalg.solve(flat - xi**2 * interior, wh[:, k])
+    ref = np.fft.ifft(ref, axis=-1)
+    assert np.max(np.abs(ref.imag)) <= 1e-13 * np.max(np.abs(ref.real))
+    out = dno._apply_preconditioner(inv, w)
+    assert np.isrealobj(out)
+    assert np.max(np.abs(out - ref.real)) <= 1e-13 * np.max(np.abs(ref.real))
+
+
+@pytest.mark.parametrize("geo", [FLAT, STRIP])
+def test_complex_psi_solved_by_real_linearity(geo):
+    eta = cos_field(GRID, 1, 0.3)
+    re = Field(GRID, np.sin(GRID.x))
+    im = Field(GRID, 0.5 * np.cos(2 * GRID.x) + 0.2)
+    g = dirichlet_neumann(eta, Field(GRID, re.values + 1j * im.values), geo, 16)
+    expected = dirichlet_neumann(eta, re, geo, 16).values \
+        + 1j * dirichlet_neumann(eta, im, geo, 16).values
+    assert np.iscomplexobj(g.values)
+    assert np.max(np.abs(g.values - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_stagnating_solve_reports_residual_history():
+    eta = cos_field(GRID, 1, 0.9)
+    psi = Field(GRID, np.sin(GRID.x) + 0.3 * np.cos(3 * GRID.x))
+    with pytest.raises(SolverError) as err:
+        solve_strip(eta, psi, FLAT, 16, maxiter=2)
+    exc = err.value
+    assert len(exc.residual_history) > 0
+    assert exc.residual == exc.residual_history[-1] > 1e-10
+    assert exc.iterations > 0
+    assert "cycle residuals" in str(exc)
 
 
 def test_dn_trace_matches_dense_oracle():

@@ -1,9 +1,9 @@
-"""Verify-suite plumbing: structure, determinism, worker-count parsing."""
+"""Verify-suite plumbing: structure, determinism, timings."""
 
 import pytest
 
 from capwave import verify
-from capwave.verify import SUITES, run_suite, worker_count
+from capwave.verify import SUITES, run_suite
 
 
 def test_unknown_suite_rejected():
@@ -54,11 +54,3 @@ def test_all_merges_checks_and_timings(monkeypatch):
         assert rep["timings"][f"{name}.elapsed_s"]["seconds"] >= 0.0
     assert rep["elapsed_s"] >= 0.0
 
-
-def test_worker_count(monkeypatch):
-    monkeypatch.delenv("CAPWAVE_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("CAPWAVE_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("CAPWAVE_THREADS", "zero")
-    assert worker_count() == 1
