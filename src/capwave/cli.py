@@ -2,15 +2,14 @@
 
 Config files are flat UTF-8 ``key = value`` text with dotted keys; ``#``
 starts a comment.  Subcommands: ``simulate <config>``, ``verify <suite>``,
-``dno-test <config>``, ``report <dir>``.  Exit codes: 0 pass, 1 validation
-error, 2 runtime abort, 3 assertion failure.
+``report <dir>``.  Exit codes: 0 pass, 1 validation error, 2 runtime abort,
+3 assertion failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -20,9 +19,8 @@ import numpy as np
 
 from .corpus import gaussian_packet
 from .dno import Geometry, GeometryError
-from .evolution import EvolutionAbort, WaveState, diagonalize, run
+from .evolution import EvolutionAbort, WaveState, dispersion_fit, run, shared_quantizer
 from .field import Field, Grid, x_derivative
-from .paradiff import Quantizer
 from .smoothing import bound_check, build_escape, garding_fit, kato_integral
 from .symbols import Symbol
 from .verify import SUITES, run_suite
@@ -199,36 +197,14 @@ def run_simulate(cfg: RunConfig) -> dict:
         "final_monitor": traj.records[-1].monitor,
     }
     if cfg.profile == "cosine" and cfg.amplitude > 0:
-        summary["dispersion"] = _dispersion_fit(cfg, traj)
+        summary["dispersion"] = dispersion_fit(
+            [st for st in traj.states if st.t != 0.0], cfg.mode)
     summary["smoothing"] = _smoothing_report(cfg, traj)
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
     with open(out / "smoothing_report.json", "w") as fh:
         json.dump(summary["smoothing"], fh, indent=1, sort_keys=True)
     return summary
-
-
-def _dispersion_fit(cfg: RunConfig, traj) -> dict:
-    grid = traj.states[0].grid
-    geo = cfg.geometry
-    k_int = cfg.mode
-    xi_k = 2 * np.pi * k_int / cfg.length
-    idx = int(np.where(grid.k == k_int)[0][0])
-    phases, times = [], []
-    for st in traj.states:
-        if st.t == 0.0:
-            continue
-        phases.append(diagonalize(st).spectrum[idx])
-        times.append(st.t)
-    if len(times) < 4:
-        return {"fitted": float("nan"), "predicted": float("nan"),
-                "rel_err": float("nan"), "note": "too few snapshots"}
-    omega = float(np.sqrt((geo.g + geo.kappa * xi_k**2)
-                          * xi_k * np.tanh(xi_k * geo.depth)))
-    slope = np.polyfit(times, np.unwrap(np.angle(np.array(phases))), 1)[0]
-    fitted = float(abs(slope))
-    return {"fitted": fitted, "predicted": omega,
-            "rel_err": abs(fitted - omega) / omega}
 
 
 def _smoothing_report(cfg: RunConfig, traj) -> dict:
@@ -245,7 +221,7 @@ def _smoothing_report(cfg: RunConfig, traj) -> dict:
         return 1.5 * (c * ax)[:, None] * np.abs(xi)[None, :] ** 0.5
 
     d_sym = Symbol(grid, 0.5, d_principal, name="doi-bracket")
-    quant = Quantizer(grid)
+    quant = shared_quantizer(grid)
     samples = [gaussian_packet(grid, 2.0, cfg.seed + 60 + i, 1.0) for i in range(4)]
     try:
         fit = garding_fit(d_sym, cfg.delta, samples, quant)
@@ -341,8 +317,6 @@ def main(argv=None) -> int:
     p_ver.add_argument("suite", help=f"one of {', '.join(SUITES)} or 'all'")
     p_ver.add_argument("--out", default=None, help="directory for the JSON report")
     p_ver.add_argument("--seed", type=int, default=0)
-    p_dno = sub.add_parser("dno-test", help="Dirichlet-Neumann battery for a config")
-    p_dno.add_argument("config")
     p_rep = sub.add_parser("report", help="summarize an output directory")
     p_rep.add_argument("directory")
     args = parser.parse_args(argv)
@@ -370,15 +344,6 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
-        return EXIT_OK if report["passed"] else EXIT_ASSERTION
-
-    if args.command == "dno-test":
-        try:
-            cfg = parse_config(args.config)
-        except (ConfigError, FileNotFoundError) as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        report = run_verify("dno", out_dir=cfg.out_dir, seed=cfg.seed)
         return EXIT_OK if report["passed"] else EXIT_ASSERTION
 
     if args.command == "report":

@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .field import Field, dealiased_product, sobolev_norm, x_derivative
+from .field import CACHE_MAXSIZE, Field, dealiased_product, sobolev_norm, \
+    spectral_derivative, x_derivative
 
 __all__ = [
     "Geometry",
@@ -96,16 +98,6 @@ def chebyshev(nz: int):
     d -= np.diag(d.sum(axis=1))
     # map s in [-1,1] -> z = (s-1)/2 in [-1,0]:  d/dz = 2 d/ds
     return (s - 1.0) / 2.0, 2.0 * d
-
-
-def _dx(arr: np.ndarray, xi: np.ndarray, order: int) -> np.ndarray:
-    """Spectral x-derivative along the last axis (Nyquist zeroed when odd)."""
-    sym = (1j * xi) ** order
-    if order % 2 == 1:
-        sym = sym.copy()
-        sym[len(xi) // 2] = 0.0
-    out = np.fft.ifft(np.fft.fft(arr, axis=-1) * sym, axis=-1)
-    return out.real if np.isrealobj(arr) else out
 
 
 @dataclass
@@ -177,7 +169,7 @@ class _StripOperator:
                     f"fluid layer degenerate: min(h0 + eta) = {np.min(depth):.3e}"
                 )
             b = ex1 / depth
-            bp = _dx(b[None, :], grid.xi, 1)[0]
+            bp = spectral_derivative(b, grid.xi)
             self.czz = 1.0 / depth[None, :] ** 2 + (1.0 + zc) ** 2 * b[None, :] ** 2
             self.cxz = -2.0 * (1.0 + zc) * b[None, :]
             self.cz = (1.0 + zc) * (b[None, :] ** 2 - bp[None, :])
@@ -246,16 +238,9 @@ class _StripOperator:
         return A
 
 
-# flat-interface preconditioner, cached per (grid, nz, geometry) -----------
-_PRECOND_CACHE: dict = {}
-
-
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def _flat_preconditioner(grid, nz, geo):
     """Inverses of the flat operators on the rfft half spectrum, (n//2+1, nz, nz)."""
-    key = (grid.n, grid.length, nz, geo.kind, geo.depth)
-    hit = _PRECOND_CACHE.get(key)
-    if hit is not None:
-        return hit
     _, Dz = chebyshev(nz)
     base = Dz @ Dz / geo.depth**2
     base[0, :] = 0.0
@@ -264,9 +249,7 @@ def _flat_preconditioner(grid, nz, geo):
     interior = np.zeros((nz, nz))
     interior[1:-1, 1:-1] = np.eye(nz - 2)
     xi2 = grid.xi[: grid.n // 2 + 1] ** 2
-    inv = np.linalg.inv(base[None] - xi2[:, None, None] * interior[None])
-    _PRECOND_CACHE[key] = inv
-    return inv
+    return np.linalg.inv(base[None] - xi2[:, None, None] * interior[None])
 
 
 def _apply_preconditioner(inv, w: np.ndarray) -> np.ndarray:
@@ -311,7 +294,7 @@ class StripSolution:
         """(1+eta_x^2)/dz_rho * dv/dz - eta_x * dv/dx at z = 0."""
         op = self.operator
         vz0 = self.surface_dz()
-        vx0 = _dx(self.v[0], self.grid.xi, 1)
+        vx0 = spectral_derivative(self.v[0], self.grid.xi)
         g = (1.0 + op.eta_x**2) / op.dz_rho_surface * vz0 - op.eta_x * vx0
         return Field(self.grid, g)
 

@@ -17,13 +17,14 @@ is the flat-interface linearization, diagonalized per mode by the canonical
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dno import Geometry, GeometryError, SolverError, dirichlet_neumann, \
+from .dno import Geometry, GeometryError, SolverError, compute_B_V, dirichlet_neumann, \
     flat_dn_multiplier
 from .field import (
+    CACHE_MAXSIZE,
     Field,
     Grid,
     band_tail_fraction,
@@ -48,6 +49,7 @@ __all__ = [
     "mollified_rhs",
     "hamiltonian",
     "diagonalize",
+    "dispersion_fit",
     "step",
     "run",
     "monitor",
@@ -55,15 +57,10 @@ __all__ = [
     "symmetrized_residuals",
 ]
 
-_QUANTIZERS: dict = {}
-
-
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def shared_quantizer(grid: Grid) -> Quantizer:
-    q = _QUANTIZERS.get(grid)
-    if q is None:
-        q = Quantizer(grid)
-        _QUANTIZERS[grid] = q
-    return q
+    """The default-cutoff quantizer of a grid, built once per grid."""
+    return Quantizer(grid)
 
 
 class EvolutionAbort(RuntimeError):
@@ -116,14 +113,16 @@ class WaveState:
         return dirichlet_neumann(self.eta, self.psi, self.geo, self.nz)
 
     @cached_property
-    def b_field(self) -> Field:
-        from .dno import compute_B_V
-        return compute_B_V(self.eta, self.psi, self.g_psi)[0]
+    def _b_v(self) -> tuple[Field, Field]:
+        return compute_B_V(self.eta, self.psi, self.g_psi)
 
-    @cached_property
+    @property
+    def b_field(self) -> Field:
+        return self._b_v[0]
+
+    @property
     def v_field(self) -> Field:
-        from .dno import compute_B_V
-        return compute_B_V(self.eta, self.psi, self.g_psi)[1]
+        return self._b_v[1]
 
     @cached_property
     def u_good(self) -> Field:
@@ -177,7 +176,7 @@ def zakharov_rhs(state: WaveState) -> tuple[Field, Field]:
     return eta_t, psi_t
 
 
-def _f1_f2(state: WaveState) -> tuple[Field, Field]:
+def paralinear_residuals(state: WaveState) -> tuple[Field, Field]:
     """Paralinearization residuals of the two equations (smoothing terms)."""
     geo = state.geo
     quant = state.quantizer
@@ -206,10 +205,6 @@ def _f1_f2(state: WaveState) -> tuple[Field, Field]:
         - geo.g * eta
     )
     return f1.real(), f2.real()
-
-
-def paralinear_residuals(state: WaveState) -> tuple[Field, Field]:
-    return _f1_f2(state)
 
 
 def mollified_rhs(state: WaveState, eps: float) -> tuple[Field, Field]:
@@ -253,7 +248,7 @@ def mollified_rhs(state: WaveState, eps: float) -> tuple[Field, Field]:
     eta_m = j_eps(eta).real()
     psi_m = j_eps(psi).real()
     state_m = state.replace(eta=eta_m, psi=psi_m)
-    f1_m, f2_m = _f1_f2(state_m)
+    f1_m, f2_m = paralinear_residuals(state_m)
 
     sq_u = t_lam(s_q(u_good))
     eta_t = -t_v(x_derivative(j_eps(eta))) + sq_u + f1_m
@@ -314,6 +309,29 @@ def diagonalize(state: WaveState) -> Field:
     a_hat = (alpha * state.eta.spectrum - 1j * beta * state.psi.spectrum) / np.sqrt(2.0)
     a_hat[omega_g == 0] = 0.0
     return Field.from_spectrum(grid, a_hat)
+
+
+def dispersion_fit(states: list, mode: int) -> dict:
+    """Frequency of grid mode ``mode`` fitted from sampled states.
+
+    The phase of the mode in the normal variable (:func:`diagonalize`) is
+    fitted linearly in time and compared with the linear dispersion relation
+    omega^2 = (g + kappa xi^2) xi tanh(depth xi).  Fewer than four states
+    give NaN values and a note.
+    """
+    if len(states) < 4:
+        return {"fitted": float("nan"), "predicted": float("nan"),
+                "rel_err": float("nan"), "note": "too few snapshots"}
+    grid, geo = states[0].grid, states[0].geo
+    idx = int(np.where(grid.k == mode)[0][0])
+    xi = grid.xi[idx]
+    omega = float(np.sqrt((geo.g + geo.kappa * xi**2) * xi * np.tanh(xi * geo.depth)))
+    phases = [diagonalize(st).spectrum[idx] for st in states]
+    times = [st.t for st in states]
+    slope = np.polyfit(times, np.unwrap(np.angle(np.array(phases))), 1)[0]
+    fitted = float(abs(slope))
+    return {"fitted": fitted, "predicted": omega,
+            "rel_err": abs(fitted - omega) / omega}
 
 
 # -- integrators ------------------------------------------------------------
@@ -379,16 +397,9 @@ class _Etdrk4Coefficients:
         return eta_c, psi_c
 
 
-_ETDRK4_CACHE: dict = {}
-
-
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def _etdrk4_coefficients(grid, geo, dt, eps):
-    key = (grid.n, grid.length, geo, float(dt), float(eps))
-    hit = _ETDRK4_CACHE.get(key)
-    if hit is None:
-        hit = _Etdrk4Coefficients(grid, geo, dt, eps)
-        _ETDRK4_CACHE[key] = hit
-    return hit
+    return _Etdrk4Coefficients(grid, geo, dt, eps)
 
 
 def _rhs_for(state: WaveState, eps: float, rhs_kind: str) -> tuple[Field, Field]:

@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .cutoffs import smooth_step
-from .field import Field, Grid, sobolev_norm
-from .symbols import Symbol, sample_x_derivative
+from .field import Field, Grid, sobolev_norm, spectral_derivative
+from .symbols import Symbol
 
 __all__ = [
     "Quantizer",
@@ -138,7 +138,7 @@ def compose(a: Symbol, b: Symbol, rho: float = 1.5) -> Symbol:
         def sub(xi):  # noqa: E306
             out = a.principal(xi) * _sub_at(b, xi) + _sub_at(a, xi) * b.principal(xi)
             out = out + (1.0 / 1j) * a.dxi_principal(xi) \
-                * sample_x_derivative(grid, b.principal(xi))
+                * spectral_derivative(b.principal(xi), grid.xi, axis=0)
             return out
 
     return Symbol(grid, a.order + b.order, principal, subprincipal=sub,
@@ -170,8 +170,8 @@ def adjoint_symbol(a: Symbol, rho: float = 1.5) -> Symbol:
     if rho > 1.0:
         def sub(xi):  # noqa: E306
             out = np.conj(_sub_at(a, xi))
-            out = out + (1.0 / 1j) * sample_x_derivative(
-                grid, np.conj(a.dxi_principal(xi)))
+            out = out + (1.0 / 1j) * spectral_derivative(
+                np.conj(a.dxi_principal(xi)), grid.xi, axis=0)
             return out
 
     return Symbol(grid, a.order, principal, subprincipal=sub,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import gamma, hyp2f1
 
 from .cutoffs import smooth_step, smooth_step_derivative
 
@@ -59,7 +59,7 @@ class EscapeSymbol:
             raise ValueError("eps_doi must lie in (0, 1/2)")
         x = self.grid.x
         self._f_vals = _f_primitive(np.abs(x), self.delta)
-        self._f_inf = _f_primitive(np.array([np.inf]), self.delta)[0]
+        self._f_inf = _f_limit(self.delta)
 
     # building blocks on the grid, for xi > 0 (odd continuation in sgn xi)
     def blocks(self):
@@ -118,21 +118,16 @@ class EscapeSymbol:
 
 
 def _f_primitive(sigma: np.ndarray, delta: float) -> np.ndarray:
-    """f(sigma) = int_0^sigma <y>^(-1-delta) dy by adaptive quadrature."""
-    out = np.empty(len(sigma))
-    cache: dict = {}
-    for i, s in enumerate(sigma):
-        key = float(s)
-        if key not in cache:
-            if np.isinf(s):
-                val, _ = quad(lambda y: np.hypot(1.0, y) ** (-1.0 - delta),
-                              0.0, np.inf, epsabs=1e-12, epsrel=1e-12)
-            else:
-                val, _ = quad(lambda y: np.hypot(1.0, y) ** (-1.0 - delta),
-                              0.0, key, epsabs=1e-12, epsrel=1e-12)
-            cache[key] = val
-        out[i] = cache[key]
-    return out
+    """f(sigma) = int_0^sigma <y>^(-1-delta) dy, in closed form
+    sigma 2F1(1/2, (1+delta)/2; 3/2; -sigma^2)."""
+    sigma = np.asarray(sigma, dtype=float)
+    return sigma * hyp2f1(0.5, 0.5 * (1.0 + delta), 1.5, -sigma**2)
+
+
+def _f_limit(delta: float) -> float:
+    """f(infinity) = sqrt(pi) Gamma(delta/2) / (2 Gamma((1+delta)/2))."""
+    return float(np.sqrt(np.pi) * gamma(0.5 * delta)
+                 / (2.0 * gamma(0.5 * (1.0 + delta))))
 
 
 def build_escape(delta: float, eps_doi: float, grid: Grid) -> EscapeSymbol:

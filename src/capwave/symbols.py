@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import Field, Grid, x_derivative
+from .field import Field, Grid, spectral_derivative, x_derivative
 
 __all__ = [
     "Symbol",
@@ -56,14 +56,6 @@ def eval_part(part, xi):
         out = out.astype(complex) if np.iscomplexobj(out) else out.copy()
         out[:, xi == 0.0] = 0.0
     return out
-
-
-def sample_x_derivative(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    """Spectral d/dx along axis 0 of grid samples (one column per xi)."""
-    sym = (1j * grid.xi).copy()
-    sym[grid.n // 2] = 0.0
-    out = np.fft.ifft(sym[:, None] * np.fft.fft(samples, axis=0), axis=0)
-    return out.real if np.isrealobj(samples) else out
 
 
 def numeric_dxi(part):
@@ -246,8 +238,8 @@ def dn_symbol(eta: Field) -> Symbol:
     def lam0(xi):
         xi = _as_xi_array(xi)
         a1 = alpha1(xi)
-        div_term = sample_x_derivative(grid, a1 * e1)
-        grad_term = 1j * dxi_lam1(xi) * sample_x_derivative(grid, a1)
+        div_term = spectral_derivative(a1 * e1, grid.xi, axis=0)
+        grad_term = 1j * dxi_lam1(xi) * spectral_derivative(a1, grid.xi, axis=0)
         return (w / (2.0 * lam1(xi))) * (div_term + grad_term)
 
     return Symbol(grid, 1.0, lam1, subprincipal=lam0, dxi_principal=dxi_lam1,
@@ -270,18 +262,10 @@ def curvature_symbol(eta: Field) -> Symbol:
 
     def h1(xi):
         xi = _as_xi_array(xi)
-        return -0.5j * sample_x_derivative(grid, dxi_h2(xi))
+        return -0.5j * spectral_derivative(dxi_h2(xi), grid.xi, axis=0)
 
     return Symbol(grid, 2.0, h2, subprincipal=h1, dxi_principal=dxi_h2,
                   name="curvature")
-
-
-def _metric_root(eta: Field):
-    """c = (1 + eta_x^2)^(-3/4) and its spectral x-derivative, as columns."""
-    e1, _ = _slope_fields(eta)
-    c = (1.0 + e1**2) ** -0.75
-    cx = sample_x_derivative(eta.grid, c)
-    return c, cx
 
 
 def symmetrizer(eta: Field) -> tuple[Symbol, Symbol, Symbol]:
@@ -296,7 +280,8 @@ def symmetrizer(eta: Field) -> tuple[Symbol, Symbol, Symbol]:
     grid = eta.grid
     lam = dn_symbol(eta)
     curv = curvature_symbol(eta)
-    c, _ = _metric_root(eta)
+    e1, _ = _slope_fields(eta)
+    c = (1.0 + e1**2) ** -0.75
     q0 = c ** (-1.0 / 3.0)  # = (1 + eta_x^2)^(1/4)
 
     def g32(xi):
@@ -311,7 +296,7 @@ def symmetrizer(eta: Field) -> tuple[Symbol, Symbol, Symbol]:
         xi = _as_xi_array(xi)
         re = np.sqrt(curv.principal(xi) / lam.principal(xi)) \
             * np.real(lam.subprincipal_at(xi)) / 2.0
-        im = -0.5 * sample_x_derivative(grid, dxi_g32(xi))
+        im = -0.5 * spectral_derivative(dxi_g32(xi), grid.xi, axis=0)
         return re + 1j * im
 
     def q_part(xi):
@@ -333,7 +318,7 @@ def symmetrizer(eta: Field) -> tuple[Symbol, Symbol, Symbol]:
         xi = _as_xi_array(xi)
         term = (q0 * curv.subprincipal_at(xi)
                 - g12(xi) * p12(xi)
-                + 1j * dxi_g32(xi) * sample_x_derivative(grid, p12(xi)))
+                + 1j * dxi_g32(xi) * spectral_derivative(p12(xi), grid.xi, axis=0))
         return term / g32(xi)
 
     q_sym = Symbol(grid, 0.0, q_part, dxi_principal=q_dxi, name="q")
@@ -361,7 +346,7 @@ def parametrix(eta: Field, p: Symbol) -> Symbol:
         xi = _as_xi_array(xi)
         inner = (wm12(xi) * p.subprincipal_at(xi)
                  + (1.0 / 1j) * dxi_wm12(xi)
-                 * sample_x_derivative(grid, p.principal(xi)))
+                 * spectral_derivative(p.principal(xi), grid.xi, axis=0))
         return -inner / p.principal(xi)
 
     return Symbol(grid, -0.5, wm12, subprincipal=wm32, dxi_principal=dxi_wm12,
@@ -406,7 +391,7 @@ def factorization(eta: Field, geo) -> tuple[Symbol, Symbol]:
         return (-1j * be + dxi_disc(xi)) / (2.0 * al)
 
     def cross(xi):
-        return 1j * dxi_a1(xi) * sample_x_derivative(grid, A1(xi))
+        return 1j * dxi_a1(xi) * spectral_derivative(A1(xi), grid.xi, axis=0)
 
     def a0(xi):
         return (cross(xi) - (ga / al) * a1(xi)) / (A1(xi) - a1(xi))
@@ -436,7 +421,7 @@ def mollifier_symbol(eta: Field, eps: float, gamma: Symbol | None = None) -> Sym
 
     def jm1(xi):
         xi = _as_xi_array(xi)
-        return -0.5j * sample_x_derivative(grid, dxi_j0(xi))
+        return -0.5j * spectral_derivative(dxi_j0(xi), grid.xi, axis=0)
 
     return Symbol(grid, 0.0, j0, subprincipal=jm1, dxi_principal=dxi_j0,
                   homogeneous=False, name=f"mollifier(eps={eps:g})")
@@ -473,8 +458,8 @@ def poisson_bracket(f: Symbol, g: Symbol, which: str = "principal") -> Symbol:
 
     def bracket(xi):
         xi = _as_xi_array(xi)
-        return (f_dxi(xi) * sample_x_derivative(grid, g_part(xi))
-                - sample_x_derivative(grid, f_part(xi)) * g_dxi(xi))
+        return (f_dxi(xi) * spectral_derivative(g_part(xi), grid.xi, axis=0)
+                - spectral_derivative(f_part(xi), grid.xi, axis=0) * g_dxi(xi))
 
     return Symbol(grid, f.order + g.order - 1.0, bracket,
                   homogeneous=f.homogeneous and g.homogeneous,
@@ -530,7 +515,7 @@ def _w_rho_infty(grid: Grid, samples: np.ndarray, rho: float) -> float:
     k = int(np.floor(rho))
     cur = samples
     for _ in range(k):
-        cur = sample_x_derivative(grid, cur)
+        cur = spectral_derivative(cur, grid.xi, axis=0)
         out = max(out, float(np.max(np.abs(cur))))
     frac = rho - k
     if frac > 0:

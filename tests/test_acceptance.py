@@ -138,13 +138,17 @@ def test_criterion_04_symbol_identities(symbols_suite):
 
 
 def test_criterion_05_calculus_remainder_orders(calculus_suite):
-    names = ["calculus.compose_p_lambda", "calculus.compose_q_h",
-             "calculus.compose_gamma_gamma", "calculus.adjoint_gamma"]
+    exact = by_name(calculus_suite["checks"], "calculus.compose_p_lambda")
+    names = ["calculus.compose_q_h", "calculus.compose_gamma_gamma",
+             "calculus.adjoint_gamma"]
     checks = [by_name(calculus_suite["checks"], n) for n in names]
-    ok = all(c["pass"] for c in checks)
-    emit(5, "composition/adjoint remainder orders >= 1.25",
-         ok, "; ".join(f"{c['name'].split('.')[1]} gain {c['measured']:.2f}"
-                       for c in checks))
+    ok = exact["pass"] and all(c["pass"] for c in checks)
+    emit(5, "T_p T_lambda = T_(p#lambda) exactly; composition/adjoint "
+            "remainder orders >= 1.25",
+         ok, f"compose_p_lambda identity error {exact['measured']:.1e} "
+             f"<= {exact['threshold']:.0e}; "
+             + "; ".join(f"{c['name'].split('.')[1]} gain {c['measured']:.2f}"
+                         for c in checks))
 
 
 def test_criterion_06_symmetrization_probes(calculus_suite):

@@ -132,15 +132,6 @@ def test_cli_simulate_missing_config():
     assert main(["simulate", "/nonexistent/path.cfg"]) == EXIT_VALIDATION
 
 
-def test_cli_dno_test(tmp_path, capsys):
-    out = tmp_path / "out"
-    path = write_config(tmp_path, BASE_CONFIG, out_dir=out)
-    code = main(["dno-test", str(path)])
-    capsys.readouterr()
-    assert code == EXIT_OK
-    assert (out / "verify_dno.json").exists()
-
-
 def test_report_exit_codes(tmp_path, capsys):
     # plain directory with a valid run
     out = tmp_path / "ok"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from capwave import dno, evolution
 from capwave.dno import Geometry
 from capwave.evolution import (
     EvolutionAbort,
@@ -18,7 +19,7 @@ from capwave.evolution import (
     time_derivatives,
     zakharov_rhs,
 )
-from capwave.field import Field, Grid, sobolev_norm
+from capwave.field import CACHE_MAXSIZE, Field, Grid, sobolev_norm
 from capwave.paradiff import measured_regularity
 
 GRID = Grid(64, 2 * np.pi)
@@ -40,6 +41,39 @@ def test_zero_state_is_equilibrium():
     assert e.max_abs() == 0.0 and p.max_abs() == 0.0
     nxt = step(st, 1e-3)
     assert nxt.eta.max_abs() == 0.0 and nxt.psi.max_abs() == 0.0
+
+
+def test_caches_are_bounded_lrus():
+    caches = (evolution.shared_quantizer, dno._flat_preconditioner,
+              evolution._etdrk4_coefficients)
+    assert all(c.cache_info().maxsize == CACHE_MAXSIZE for c in caches)
+    grids = [Grid(8 + 2 * i, 2 * np.pi) for i in range(CACHE_MAXSIZE + 1)]
+    for grid in grids:
+        evolution.shared_quantizer(grid)
+        dno._flat_preconditioner(grid, 8, GEO)
+    for cache in caches[:2]:
+        assert cache.cache_info().currsize == CACHE_MAXSIZE
+    # least recently used goes first: the newest grid is kept, the oldest rebuilt
+    misses = evolution.shared_quantizer.cache_info().misses
+    evolution.shared_quantizer(grids[-1])
+    evolution.shared_quantizer(grids[0])
+    assert evolution.shared_quantizer.cache_info().misses == misses + 1
+
+
+def test_b_and_v_share_one_compute(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return dno.compute_B_V(*args)
+
+    monkeypatch.setattr(evolution, "compute_B_V", counting)
+    st = WaveState(0.0, mode(GRID, 1, 0.01), mode(GRID, 2, 0.01, 0.4), GEO, nz=24)
+    b, v = st.b_field, st.v_field
+    assert st.b_field is b and st.v_field is v
+    assert len(calls) == 1
+    ref_b, ref_v = dno.compute_B_V(st.eta, st.psi, st.g_psi)
+    assert np.array_equal(b.values, ref_b.values) and np.array_equal(v.values, ref_v.values)
 
 
 def test_flat_interface_plug_in():

@@ -10,6 +10,7 @@ from capwave.field import (
     dealiased_product,
     multiplier,
     sobolev_norm,
+    spectral_derivative,
     weighted_norm,
     x_derivative,
 )
@@ -170,6 +171,58 @@ def test_x_derivative_mode(grid):
     u = Field(grid, np.sin(3 * grid.x))
     du = x_derivative(u)
     assert np.max(np.abs(du.values - 3 * np.cos(3 * grid.x))) < 1e-11
+
+
+def trig_columns(grid, ks=(1, 3, 7), phases=(0.3, -1.1, 2.0)):
+    """Columns cos(k x + phase), one per wavenumber, with their derivatives."""
+    kx = np.outer(grid.x, ks) + np.array(phases)
+
+    def derivative(order):
+        return np.array(ks, dtype=float) ** order * np.cos(kx + order * np.pi / 2)
+
+    return np.cos(kx), derivative
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_spectral_derivative_of_trigonometric_polynomials(grid, order):
+    cols, derivative = trig_columns(grid)
+    expected = derivative(order)
+    tol = 1e-12 * 7.0**order
+    along_0 = spectral_derivative(cols, grid.xi, order, axis=0)
+    along_last = spectral_derivative(cols.T, grid.xi, order, axis=-1)
+    assert not np.iscomplexobj(along_0) and not np.iscomplexobj(along_last)
+    assert np.max(np.abs(along_0 - expected)) < tol
+    assert np.max(np.abs(along_last - expected.T)) < tol
+    # complex samples: exp(i k x) -> (i k)^order exp(i k x)
+    ks = np.array([1, -4, 9])
+    waves = np.exp(1j * np.outer(grid.x, ks))
+    out = spectral_derivative(waves, grid.xi, order, axis=0)
+    assert np.iscomplexobj(out)
+    assert np.max(np.abs(out - (1j * ks) ** order * waves)) < 1e-12 * 9.0**order
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_spectral_derivative_nyquist_mode(grid, order):
+    nyquist = np.cos(grid.n // 2 * grid.x)
+    out = spectral_derivative(nyquist, grid.xi, order)
+    if order % 2:
+        assert np.max(np.abs(out)) < 1e-12
+    else:
+        assert np.max(np.abs(out - (-(grid.n // 2) ** 2) ** (order // 2) * nyquist)) \
+            < 1e-12 * (grid.n // 2) ** order
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_x_derivative_is_the_kernel_on_fields(grid, order):
+    rng = np.random.default_rng(order)
+    real = random_band_limited(grid, rng)
+    cplx = Field(grid, real.values + 1j * random_band_limited(grid, rng).values)
+    for u in (real, cplx):
+        du = x_derivative(u, order)
+        col = spectral_derivative(np.stack([u.values, u.values], axis=1), grid.xi,
+                                  order, axis=0)[:, 1]
+        assert du.is_real == u.is_real
+        assert np.max(np.abs(du.values - col)) <= 1e-15 * max(np.max(np.abs(col)), 1.0)
 
 
 def test_dealiased_product_matches_exact_convolution(grid):

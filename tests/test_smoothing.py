@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from capwave.corpus import gaussian_packet, power_law_field
 from capwave.dno import Geometry
@@ -10,6 +11,7 @@ from capwave.field import Field, Grid, sobolev_norm
 from capwave.paradiff import Quantizer
 from capwave.smoothing import (
     EscapeSymbol,
+    _f_limit,
     _f_primitive,
     _phi,
     af_identity_check,
@@ -28,6 +30,12 @@ DELTA = 0.1
 ESC = build_escape(DELTA, 0.05, GRID)
 
 
+def quad_primitive(sigma, delta):
+    """f(sigma) = int_0^sigma <y>^(-1-delta) dy by adaptive quadrature (oracle path)."""
+    return np.array([quad(lambda y: np.hypot(1.0, y) ** (-1.0 - delta), 0.0, s,
+                          epsabs=1e-12, epsrel=1e-12)[0] for s in sigma])
+
+
 def reference_escape_values(xv, eps, delta):
     """Independent re-evaluation of the escape assembly (oracle path)."""
     jx = np.hypot(1.0, xv)
@@ -35,8 +43,17 @@ def reference_escape_values(xv, eps, delta):
     pp = _phi(y / eps)
     pm = _phi(-y / eps)
     p0 = 1.0 - pp - pm
-    f = _f_primitive(np.abs(xv), delta)
+    f = quad_primitive(np.abs(xv), delta)
     return y * p0 + (2.0 * eps + f) * (pp - pm)
+
+
+@pytest.mark.parametrize("grid", [Grid(128, 2 * np.pi), Grid(256, 16 * np.pi),
+                                  Grid(512, 16 * np.pi)], ids=str)
+@pytest.mark.parametrize("delta", [0.1, 0.4])
+def test_f_primitive_closed_form_matches_quadrature(grid, delta):
+    sigma = np.abs(grid.x)
+    assert np.max(np.abs(_f_primitive(sigma, delta) - quad_primitive(sigma, delta))) < 1e-12
+    assert abs(_f_limit(delta) - quad_primitive([np.inf], delta)[0]) < 1e-12
 
 
 def test_escape_validation():

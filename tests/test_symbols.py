@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from capwave.dno import Geometry
-from capwave.field import Field, Grid, x_derivative
+from capwave.field import Field, Grid, spectral_derivative, x_derivative
 from capwave.symbols import (
     Symbol,
     curvature_symbol,
@@ -15,7 +15,6 @@ from capwave.symbols import (
     numeric_dxi,
     parametrix,
     poisson_bracket,
-    sample_x_derivative,
     seminorm,
     symmetrizer,
 )
@@ -56,7 +55,7 @@ def test_dn_symmetry_identity():
     # Im lam0 = -(1/2) dxi dx lam1 (symbol-level symmetry of the operator)
     lam = dn_symbol(ETA)
     lhs = np.imag(lam.subprincipal_at(XI))
-    rhs = -0.5 * sample_x_derivative(GRID, lam.dxi_principal(XI))
+    rhs = -0.5 * spectral_derivative(lam.dxi_principal(XI), GRID.xi, axis=0)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -78,7 +77,7 @@ def test_curvature_principal_1d_form():
 def test_curvature_subprincipal_fd_oracle():
     # h1 = -(i/2) dx dxi h2, recomputed with finite-difference dxi
     h = curvature_symbol(ETA)
-    fd = -0.5j * sample_x_derivative(GRID, numeric_dxi(h.principal)(XI))
+    fd = -0.5j * spectral_derivative(numeric_dxi(h.principal)(XI), GRID.xi, axis=0)
     assert np.max(np.abs(h.subprincipal_at(XI) - fd)) < 1e-8
 
 
@@ -95,7 +94,7 @@ def test_symmetrizer_flat():
 def test_gamma_1d_closed_form():
     _, _, gam = symmetrizer(ETA)
     c = (1.0 + SLOPE**2) ** -0.75
-    cx = sample_x_derivative(GRID, c)
+    cx = spectral_derivative(c, GRID.xi, axis=0)
     expected = c * np.abs(XI)[None, :] ** 1.5 \
         - 0.75j * XI[None, :] * np.abs(XI)[None, :] ** -0.5 * cx
     assert np.max(np.abs(gam.total_at(XI) - expected)) < 1e-12
@@ -105,7 +104,7 @@ def test_gamma_imaginary_part_constraint():
     # Im gamma^(1/2) = -(1/2) dxi dx gamma^(3/2)
     _, _, gam = symmetrizer(ETA)
     lhs = np.imag(gam.subprincipal_at(XI))
-    rhs = -0.5 * sample_x_derivative(GRID, gam.dxi_principal(XI))
+    rhs = -0.5 * spectral_derivative(gam.dxi_principal(XI), GRID.xi, axis=0)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -148,7 +147,8 @@ def test_parametrix_flat_and_composition():
     sub = (
         p.principal_at(XI) * wp.subprincipal_at(XI)
         + p.subprincipal_at(XI) * wp.principal_at(XI)
-        + (1.0 / 1j) * p.dxi_principal(XI) * sample_x_derivative(GRID, wp.principal_at(XI))
+        + (1.0 / 1j) * p.dxi_principal(XI)
+        * spectral_derivative(wp.principal_at(XI), GRID.xi, axis=0)
     )
     assert np.max(np.abs(sub)) < 1e-12
     wp0 = parametrix(Field.zeros(GRID), symmetrizer(Field.zeros(GRID))[0])
@@ -250,8 +250,8 @@ def test_elliptic_weight():
     flat = elliptic_weight(Field.zeros(GRID), s)
     assert np.max(np.abs(flat.principal_at(XI) - np.abs(XI)[None, :] ** s)) < 1e-11
     br = poisson_bracket(bw, gam).principal_at(XI)
-    scale = np.max(np.abs(bw.dxi_principal(XI) * sample_x_derivative(
-        GRID, gam.principal_at(XI))))
+    scale = np.max(np.abs(bw.dxi_principal(XI)
+                          * spectral_derivative(gam.principal_at(XI), GRID.xi, axis=0)))
     assert np.max(np.abs(br)) <= 1e-10 * max(scale, 1.0)
 
 
