@@ -35,7 +35,7 @@ from .field import (
     weighted_norm,
     x_derivative,
 )
-from .paradiff import Quantizer
+from .paradiff import DenseOp, Quantizer
 from .symbols import Symbol, curvature_symbol, dn_symbol, mollifier_symbol, \
     parametrix, symmetrizer
 
@@ -125,9 +125,13 @@ class WaveState:
         return self._b_v[1]
 
     @cached_property
+    def t_b(self) -> DenseOp:
+        """The paraproduct T_B, built once per state."""
+        return self.quantizer.operator(Symbol.from_field(self.b_field, name="B"))
+
+    @cached_property
     def u_good(self) -> Field:
-        t_b = self.quantizer.quantize(Symbol.from_field(self.b_field), self.eta)
-        return (self.psi - t_b).real()
+        return (self.psi - self.t_b(self.eta)).real()
 
     @cached_property
     def symmetrizer_symbols(self):
@@ -186,7 +190,7 @@ def paralinear_residuals(state: WaveState) -> tuple[Field, Field]:
     g_psi = state.g_psi
     lam = dn_symbol(eta)
     curv = curvature_symbol(eta)
-    t_b = quant.operator(Symbol.from_field(state.b_field, name="B"))
+    t_b = state.t_b
     t_v = quant.operator(Symbol.from_field(state.v_field, name="V"))
     u_good = state.u_good
 
@@ -232,7 +236,7 @@ def mollified_rhs(state: WaveState, eps: float) -> tuple[Field, Field]:
     t_invq = quant.operator(Symbol.from_field(
         Field(eta.grid, 1.0 / q.principal_at(np.array([1.0]))[:, 0].real), name="1/q"))
     t_jm1 = quant.operator(jm1)
-    t_b = quant.operator(Symbol.from_field(state.b_field, name="B"))
+    t_b = state.t_b
     t_v = quant.operator(Symbol.from_field(state.v_field, name="V"))
 
     def j_eps(u: Field) -> Field:
@@ -639,7 +643,7 @@ def symmetrized_residuals(state: WaveState) -> dict:
     dt_q = _symbol_time_derivative(lambda e: symmetrizer(e)[1], state.eta, der["eta_t"])
 
     u_t = (der["psi_t"]
-           - quant.quantize(Symbol.from_field(state.b_field), der["eta_t"])
+           - state.t_b(der["eta_t"])
            - quant.quantize(Symbol.from_field(der["b_t"]), state.eta)).real()
     phi1_t = (quant.quantize(p, der["eta_t"]) + quant.quantize(dt_p, state.eta)).real()
     phi2_t = (quant.quantize(q, u_t) + quant.quantize(dt_q, state.u_good)).real()

@@ -6,10 +6,17 @@ The quantizer realizes
                      psi(xi_k') u^(xi_k')
 
 in Fourier-series coefficients, where ahat(., eta) is the spatial transform
-of the symbol frozen at frequency eta.  The dense n x n coefficient matrix is
-the reference path; all operator probes (remainder orders, boundedness
-constants) are driven through it.  Symbolic composition and adjoints follow
-the two-order truncation appropriate for principal + sub-principal symbols.
+of the symbol frozen at frequency eta.  In one dimension a homogeneous part
+of order m is a_(sgn xi)(x) |xi|^m, so ahat(theta, eta) is the transform of
+one of its two traces at xi = +-1 times |eta|^m.  A homogeneous symbol is
+therefore quantized from its principal and sub-principal traces, an (n, 2)
+array each: one FFT along x, then a gather of the transforms into the dense
+n x n coefficient matrix, on the support of chi psi only.  Any other symbol
+(the mollifier) is sampled on the full (x, xi) grid and goes through the
+same gather, one column per frozen frequency.  All operator probes
+(remainder orders, boundedness constants) are driven through the dense
+matrix.  Symbolic composition and adjoints follow the two-order truncation
+appropriate for principal + sub-principal symbols.
 """
 
 from __future__ import annotations
@@ -51,15 +58,25 @@ class Quantizer:
         self.grid = grid
         self.eps1 = eps1
         self.eps2 = eps2
+        n = grid.n
         k = grid.k.astype(np.int64)
         diff = k[:, None] - k[None, :]
-        self._inband = np.abs(diff) <= grid.n // 2
-        self._theta_idx = np.mod(diff, grid.n)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(k[None, :] != 0,
                              np.abs(diff) / np.maximum(np.abs(k[None, :]), 1), np.inf)
-        self._chi = self.chi_profile(ratio) * self._inband
-        self._psi = self.psi_cut(grid.xi)
+        psi = self.psi_cut(grid.xi)
+        cut = self.chi_profile(ratio) * (np.abs(diff) <= n // 2) * psi[None, :]
+        # T_a vanishes off the support of chi(theta, eta) psi(eta); there it
+        # gathers ahat(theta, column) under one of two column plans: the
+        # trace at sgn(eta) (columns xi = +1, -1) or the frequency eta itself
+        self._support = np.flatnonzero(cut)
+        self._cut = cut.ravel()[self._support]
+        rows, self._cols = np.divmod(self._support, n)
+        theta = np.mod(k[rows] - k[self._cols], n)
+        self._sign_index = theta * 2 + (grid.xi[self._cols] < 0)
+        self._identity_index = theta * n + self._cols
+        # |eta| where psi does not vanish (|eta| > 1), so negative powers stay finite
+        self._absxi = np.where(psi > 0, np.abs(grid.xi), 1.0)
 
     def chi_profile(self, r) -> np.ndarray:
         """Admissibility profile as a function of |theta|/|eta|."""
@@ -70,14 +87,40 @@ class Quantizer:
         return smooth_step(np.abs(np.asarray(eta, dtype=float)) - 1.0)
 
     def matrix(self, symbol: Symbol) -> np.ndarray:
-        """Dense coefficient-space matrix of T_symbol."""
+        """Dense coefficient-space matrix of T_symbol.
+
+        A symbol declared ``homogeneous`` is built from its x-traces at
+        xi = +-1, with no (x, xi) sample: column eta gathers the transform of
+        the principal trace at sgn(eta) times |eta|^order, plus that of the
+        sub-principal trace times |eta|^(order - 1).  Any other symbol is
+        sampled on the full grid and gathered with the identity column plan
+        (column eta, weight 1).  Only entries inside the support of
+        chi(theta, eta) psi(eta) are computed.
+        """
         if symbol.grid != self.grid:
             raise ValueError("symbol and quantizer live on different grids")
-        sample = symbol.sample_grid()
-        # x-transform of the symbol at each frozen frequency (series coeffs)
-        ahat = np.fft.fft(sample, axis=0) * self.grid._phase[:, None] / self.grid.n
-        gathered = np.take_along_axis(ahat, self._theta_idx, axis=0)
-        return self._chi * gathered * self._psi[None, :]
+        if symbol.homogeneous:
+            ends = np.array([1.0, -1.0])
+            plan = [(symbol.principal_at(ends), self._column_weight(symbol.order))]
+            if symbol.subprincipal is not None:
+                plan.append((symbol.subprincipal_at(ends),
+                             self._column_weight(symbol.order - 1.0)))
+            index = self._sign_index
+        else:
+            plan = [(symbol.sample_grid(), 1.0)]
+            index = self._identity_index
+        entries = 0.0
+        for sample, weight in plan:
+            # x-transform of each sampled column (series coefficients)
+            ahat = np.fft.fft(sample, axis=0) * self.grid._phase[:, None] / self.grid.n
+            entries = entries + np.take(ahat, index) * weight
+        out = np.zeros((self.grid.n, self.grid.n), dtype=complex)
+        out.flat[self._support] = self._cut * entries
+        return out
+
+    def _column_weight(self, order: float) -> np.ndarray:
+        """|eta|^order on each support entry."""
+        return (self._absxi ** order)[self._cols]
 
     def quantize(self, symbol: Symbol, u: Field) -> Field:
         return self.operator(symbol).apply(u)

@@ -90,7 +90,13 @@ def _memo_part(fn):
 
 
 class Symbol:
-    """Poly-homogeneous symbol: principal part plus optional sub-principal."""
+    """Poly-homogeneous symbol: principal part plus optional sub-principal.
+
+    ``homogeneous`` declares that the principal part is positively
+    homogeneous of degree ``order`` in xi and the sub-principal part of
+    degree ``order - 1``; the quantizer then builds the symbol from its
+    traces at xi = +-1.  Declare any other symbol ``homogeneous=False``.
+    """
 
     def __init__(self, grid, order, principal, subprincipal=None,
                  dxi_principal=None, dxi_subprincipal=None,

@@ -1,9 +1,12 @@
 """Evolution: dispersion, conservation, residual smoothness, mollifier checks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from capwave import dno, evolution
+from capwave.cli import parse_config
 from capwave.dno import Geometry
 from capwave.evolution import (
     EvolutionAbort,
@@ -20,7 +23,8 @@ from capwave.evolution import (
     zakharov_rhs,
 )
 from capwave.field import CACHE_MAXSIZE, Field, Grid, sobolev_norm
-from capwave.paradiff import measured_regularity
+from capwave.paradiff import Quantizer, measured_regularity
+from capwave.symbols import Symbol
 
 GRID = Grid(64, 2 * np.pi)
 GEO = Geometry("flat_bottom", 1.0, g=1.0, kappa=1.0)
@@ -74,6 +78,35 @@ def test_b_and_v_share_one_compute(monkeypatch):
     assert len(calls) == 1
     ref_b, ref_v = dno.compute_B_V(st.eta, st.psi, st.g_psi)
     assert np.array_equal(b.values, ref_b.values) and np.array_equal(v.values, ref_v.values)
+
+
+def test_mollified_rhs_build_count(monkeypatch):
+    # monitor-eps grid and data: 13 matrix builds per call, and only the
+    # mollifier j_eps - 1 is sampled on the full (x, xi) grid
+    cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "monitor-eps.cfg")
+    builds, sampled = [], []
+    matrix, sample_grid = Quantizer.matrix, Symbol.sample_grid
+
+    def counting_matrix(self, symbol):
+        builds.append(symbol.name)
+        return matrix(self, symbol)
+
+    def counting_sample(self):
+        sampled.append(self.name)
+        return sample_grid(self)
+
+    monkeypatch.setattr(Quantizer, "matrix", counting_matrix)
+    monkeypatch.setattr(Symbol, "sample_grid", counting_sample)
+    mollified_rhs(cfg.initial_state(), cfg.epsilon)
+    assert len(builds) == 13, builds
+    assert sampled == [f"j(eps={cfg.epsilon:g})-1"]
+
+
+def test_t_b_is_built_once_per_state():
+    st = WaveState(0.0, mode(GRID, 1, 0.01), mode(GRID, 2, 0.01, 0.4), GEO, nz=24)
+    assert st.t_b is st.t_b
+    ref = st.quantizer.quantize(Symbol.from_field(st.b_field), st.eta)
+    assert np.array_equal(st.u_good.values, (st.psi - ref).real().values)
 
 
 def test_flat_interface_plug_in():

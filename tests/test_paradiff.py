@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from capwave.dno import Geometry
 from capwave.field import Field, Grid, sobolev_norm
 from capwave.paradiff import (
     DenseOp,
@@ -16,7 +19,16 @@ from capwave.paradiff import (
     remainder_order,
     shell_field,
 )
-from capwave.symbols import Symbol, curvature_symbol, dn_symbol, symmetrizer
+from capwave.smoothing import build_escape
+from capwave.symbols import (
+    Symbol,
+    curvature_symbol,
+    dn_symbol,
+    elliptic_weight,
+    factorization,
+    parametrix,
+    symmetrizer,
+)
 
 GRID = Grid(64, 2 * np.pi)
 Q = Quantizer(GRID)
@@ -47,6 +59,65 @@ def direct_quantize(quantizer, symbol, u):
             m_idx = int(d % n)
             c_out[i_out] += chi * ahat[m_idx, i_in] * psi * c_in[i_in]
     return c_out
+
+
+def sampled_matrix(quantizer, symbol):
+    """Dense matrix from the full (x, xi) sample of the symbol (oracle path)."""
+    grid = quantizer.grid
+    k = grid.k
+    diff = k[:, None] - k[None, :]
+    ahat = np.fft.fft(symbol.sample_grid(), axis=0) * grid._phase[:, None] / grid.n
+    gathered = np.take_along_axis(ahat, np.mod(diff, grid.n), axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(k[None, :] != 0, np.abs(diff) / np.abs(k)[None, :], np.inf)
+    chi = quantizer.chi_profile(ratio) * (np.abs(diff) <= grid.n // 2)
+    return chi * gathered * quantizer.psi_cut(grid.xi)[None, :]
+
+
+def homogeneous_constructors(eta):
+    """Every symbol constructor that declares homogeneity, built on eta."""
+    grid = eta.grid
+    lam = dn_symbol(eta)
+    h = curvature_symbol(eta)
+    p, q, gam = symmetrizer(eta)
+    a_s, A_s = factorization(eta, Geometry("parallel_strip", 1.0))
+    return [lam, h, p, q, gam, parametrix(eta, p), a_s, A_s,
+            elliptic_weight(eta, 2.6), compose(p, lam, 1.5), compose(q, h, 1.5),
+            adjoint_symbol(gam, 1.5), Symbol.from_field(eta),
+            Symbol.from_multiplier(grid, 1.5, lambda z: np.abs(z) ** 1.5),
+            build_escape(0.1, 0.05, grid).symbol()]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([64, 128]), periods=st.sampled_from([1.0, 8.0]),
+       amps=st.lists(st.floats(-0.1, 0.1), min_size=3, max_size=3),
+       phases=st.lists(st.floats(0.0, 2 * np.pi), min_size=3, max_size=3))
+def test_factored_matrix_matches_sampled_path(n, periods, amps, phases):
+    # L = 16 pi puts grid frequencies |xi| < 1 under negative orders
+    grid = Grid(n, 2 * np.pi * periods)
+    quant = Quantizer(grid)
+    wave = 2 * np.pi / grid.length
+    eta = Field(grid, sum(a * np.cos((j + 1) * wave * grid.x + ph)
+                          for j, (a, ph) in enumerate(zip(amps, phases))))
+    for sym in homogeneous_constructors(eta):
+        assert sym.homogeneous, sym.name
+        got = quant.matrix(sym)
+        assert np.all(np.isfinite(got)), sym.name
+        ref = sampled_matrix(quant, sym)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), sym.name
+
+
+def test_nonhomogeneous_symbol_uses_full_sample():
+    # a non-homogeneous symbol (here exp(-xi^2 / 50) a(x)) is sampled, not factored
+    a = 1.0 + 0.2 * np.cos(GRID.x)
+
+    def principal(xi):
+        return a[:, None] * np.exp(-np.atleast_1d(xi) ** 2 / 50.0)[None, :]
+
+    sym = Symbol(GRID, 0.0, principal, homogeneous=False, name="gauss")
+    ref = sampled_matrix(Q, sym)
+    assert np.max(np.abs(Q.matrix(sym) - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def power_law_field(grid, sigma, seed, amplitude=1.0):

@@ -300,6 +300,35 @@ def test_homogeneity_battery():
         assert sym.homogeneity_defect() < 1e-10, sym.name
 
 
+def subprincipal_homogeneity_defect(sym, radii=(1.0, 2.0)):
+    """Max defect of degree order - 1 homogeneity of the sub-principal part,
+    relative to the principal part's size (the 1D dn sub-principal part
+    vanishes identically, so its own size is no scale)."""
+    worst = 0.0
+    for r in radii:
+        for sign in (1.0, -1.0):
+            base = sym.subprincipal_at(np.array([sign * r]))
+            double = sym.subprincipal_at(np.array([sign * 2 * r]))
+            scale = np.max(np.abs(sym.principal_at(np.array([sign * 2 * r]))))
+            defect = np.max(np.abs(double - 2.0 ** (sym.order - 1.0) * base)) / scale
+            worst = max(worst, float(defect))
+    return worst
+
+
+def test_subprincipal_homogeneity():
+    # the quantizer builds each sub-principal part from its xi = +-1 traces
+    p, _, gam = symmetrizer(ETA)
+    a_s, A_s = factorization(ETA, Geometry("parallel_strip", 1.0))
+    syms = (dn_symbol(ETA), curvature_symbol(ETA), p, gam, parametrix(ETA, p), a_s, A_s)
+    for sym in syms:
+        assert sym.subprincipal is not None, sym.name
+        assert subprincipal_homogeneity_defect(sym) < 1e-12, sym.name
+    # a sub-principal part of the wrong degree is caught
+    wrong = Symbol(GRID, gam.order, gam.principal, subprincipal=gam.principal,
+                   dxi_principal=gam.dxi_principal)
+    assert subprincipal_homogeneity_defect(wrong) > 0.1
+
+
 def test_paraproduct_symbol():
     f = Field(GRID, np.cos(GRID.x))
     sym = Symbol.from_field(f, name="cos")
