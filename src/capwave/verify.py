@@ -167,6 +167,18 @@ def _suite_dno(seed: int, timings: dict) -> list:
                       / sobolev_norm(pk, 2.0))
     checks.append(_check("dno.bounded_ratio_spread",
                          max(ratios) / (min(ratios) + 1e-300), 3.0))
+
+    # GMRES against the dense-assembly oracle at 0.9 of the depth
+    g32 = Grid(32, 2 * np.pi)
+    eta_l = Field(g32, 0.9 * np.cos(g32.x))
+    psi_l = Field(g32, np.sin(g32.x) + 0.3 * np.cos(3 * g32.x))
+    worst = 0.0
+    for kind in ("flat_bottom", "parallel_strip"):
+        geo_l = Geometry(kind, 1.0)
+        g_it = dirichlet_neumann(eta_l, psi_l, geo_l, 16)
+        g_dn = dirichlet_neumann(eta_l, psi_l, geo_l, 16, method="dense")
+        worst = max(worst, np.max(np.abs(g_it.values - g_dn.values)) / g_dn.max_abs())
+    checks.append(_check("dno.large_amplitude_oracle_rel", worst, 1e-9))
     return checks
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from capwave import dno
+from capwave.corpus import power_law_field
 from capwave.dno import (
     Geometry,
     GeometryError,
@@ -73,7 +74,8 @@ def test_gmres_matches_dense_assembly(geo):
 
 @pytest.mark.parametrize("geo", [FLAT, STRIP])
 def test_gmres_matches_dense_at_large_amplitude(geo):
-    # amplitude 0.9 of the depth: GMRES needs full refinement cycles here
+    # amplitude 0.9 of the depth, where the preconditioner is furthest from
+    # the operator; the reported residual has one meaning on both paths
     grid = Grid(32, 2 * np.pi)
     eta = cos_field(grid, 1, 0.9)
     psi = Field(grid, np.sin(grid.x) + 0.3 * np.cos(3 * grid.x))
@@ -132,6 +134,68 @@ def test_stagnating_solve_reports_residual_history():
     assert exc.residual == exc.residual_history[-1] > 1e-10
     assert exc.iterations > 0
     assert "cycle residuals" in str(exc)
+
+
+def test_large_amplitude_solve_takes_one_cycle():
+    # the depth-following row scale (h0 + eta)/h0 keeps the 0.9-depth solve
+    # of rough psi inside one GMRES cycle (109 iterations); the flat
+    # preconditioner alone (241) and the squared scale (184) need two
+    grid = Grid(128, 2 * np.pi)
+    eta = cos_field(grid, 1, 0.9)
+    psi = power_law_field(grid, 2.0, 1)
+    sol = solve_strip(eta, psi, FLAT, 48)
+    assert len(sol.residual_history) == 1
+    assert sol.iterations < 150
+
+
+def test_parallel_strip_row_scale_is_exact_identity():
+    # the row scale (local over flat depth) is exactly 1 in a parallel strip:
+    # G(eta)psi is bit for bit the one of the flat preconditioner alone
+    eta = cos_field(GRID, 1, 0.5)
+    psi = Field(GRID, np.sin(GRID.x) + 0.3 * np.cos(3 * GRID.x))
+    scaled = dirichlet_neumann(eta, psi, STRIP, 16).values
+
+    def flat(op):
+        inv = dno._flat_preconditioner(op.grid, op.nz, op.geo)
+        return lambda w: dno._apply_preconditioner(inv, w)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dno, "_preconditioner", flat)
+        plain = dirichlet_neumann(eta, psi, STRIP, 16).values
+    assert np.array_equal(scaled, plain)
+
+
+def test_refinement_cycle_aims_at_the_solve_target():
+    # maxiter=20 leaves cycle 1 at ~3e-10, and cycle 2 only has to reach the
+    # solve's own target; aiming at a further 2e-13 cut of its starting
+    # residual would spend all 20 iterations again
+    eta = cos_field(GRID, 1, 0.9)
+    psi = Field(GRID, np.sin(GRID.x) + 0.3 * np.cos(3 * GRID.x))
+    sol = solve_strip(eta, psi, STRIP, 16, maxiter=20)
+    assert len(sol.residual_history) == 2
+    assert sol.residual <= 1e-12
+    assert sol.iterations < 2 * 20
+
+
+@pytest.mark.parametrize("damping", [0.0, 0.3])
+def test_stagnating_refinement_stops_after_one_cycle(monkeypatch, damping):
+    # a cycle that keeps only a share of its correction cuts the residual by
+    # less than 2: the solve fails at once instead of running three cycles
+    pgmres = dno._pgmres
+
+    def weak(apply_a, apply_m, z0, atol, maxiter):
+        dv, its = pgmres(apply_a, apply_m, z0, atol, maxiter)
+        return damping * dv, its
+
+    monkeypatch.setattr(dno, "_pgmres", weak)
+    eta = cos_field(GRID, 1, 0.3)
+    psi = Field(GRID, np.sin(GRID.x) + 0.3 * np.cos(3 * GRID.x))
+    with pytest.raises(SolverError) as err:
+        solve_strip(eta, psi, FLAT, 16)
+    exc = err.value
+    assert len(exc.residual_history) == 1
+    assert exc.residual == exc.residual_history[0] > 0.5
+    assert exc.iterations > 0
 
 
 def test_dn_trace_matches_dense_oracle():

@@ -33,6 +33,8 @@ def test_dno_suite_determinism_and_timings():
     assert ([(c["name"], c["measured"]) for c in rep1["checks"]]
             == [(c["name"], c["measured"]) for c in rep2["checks"]])
     assert "dno.flat_oracle_runtime_s" not in [c["name"] for c in rep1["checks"]]
+    oracle = next(c for c in rep1["checks"] if c["name"] == "dno.large_amplitude_oracle_rel")
+    assert oracle["threshold"] == 1e-9 and oracle["pass"]
     runtime = rep1["timings"]["dno.flat_oracle_runtime_s"]
     assert runtime["seconds"] > 0.0
     assert runtime["budget_s"] == 5.0
