@@ -220,7 +220,7 @@ def _smoothing_report(cfg: RunConfig, traj) -> dict:
         xi = np.atleast_1d(xi)
         return 1.5 * (c * ax)[:, None] * np.abs(xi)[None, :] ** 0.5
 
-    d_sym = Symbol(grid, 0.5, d_principal, name="doi-bracket")
+    d_sym = Symbol(grid, 0.5, d_principal, homogeneous=True, name="doi-bracket")
     quant = shared_quantizer(grid)
     samples = [gaussian_packet(grid, 2.0, cfg.seed + 60 + i, 1.0) for i in range(4)]
     try:

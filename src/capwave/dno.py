@@ -13,12 +13,12 @@ variable-coefficient elliptic equation with v = psi at z = 0:
 
 Discretization: Fourier collocation in x, Chebyshev collocation in z.
 The solver is matrix-free GMRES with iterative refinement, left-
-preconditioned by M = P_flat^-1 S: S scales the interior rows by the local
-over the flat depth, (h0 + eta)/h0 (exactly 1 for the parallel strip), and P_flat^-1
-is the cached per-frequency inverse of the flat-interface operator.  Every
-refinement cycle aims at tol ||M b||, and refinement stops early once a
-cycle stagnates.  A dense assembly of the same discrete operator is kept as
-an oracle path.
+preconditioned by M = P_h^-1 S: P_h^-1 inverts the flat-interface operator at
+the layer's harmonic-mean depth h through one cached diagonalization per nz,
+and S scales the interior rows by the local depth over h.  Every refinement
+cycle aims at tol ||M b||, and refinement stops early once a cycle
+stagnates.  A dense assembly of the same discrete operator is kept as an
+oracle path.
 The GMRES kernel works in real arithmetic (real FFTs, classical Gram-Schmidt
 with one reorthogonalization pass); a complex psi is solved through
 real-linearity, G(Re psi) + i G(Im psi).
@@ -227,10 +227,7 @@ class _StripOperator:
             + np.diag(self.cxz.ravel()) @ np.kron(self.Dz, Dx)
             + np.diag(self.cz.ravel()) @ np.kron(self.Dz, eye_f)
         )
-        # boundary rows
-        for j in range(n):
-            A[j, :] = 0.0
-            A[j, j] = 1.0
+        A[:n] = np.eye(n, nz * n)  # Dirichlet rows
         bot = (nz - 1) * n
         zrow = np.kron(self.Dz[-1, :], eye_f)  # (n, nz*n)
         if self.geo.kind == "flat_bottom":
@@ -243,60 +240,63 @@ class _StripOperator:
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
-def _flat_preconditioner(grid, nz, geo):
-    """Inverses of the flat operators on the rfft half spectrum, (n//2+1, nz, nz)."""
-    _, Dz = chebyshev(nz)
-    base = Dz @ Dz / geo.depth**2
-    base[0, :] = 0.0
-    base[0, 0] = 1.0
-    base[-1, :] = Dz[-1, :]
-    interior = np.zeros((nz, nz))
-    interior[1:-1, 1:-1] = np.eye(nz - 2)
-    xi2 = grid.xi[: grid.n // 2 + 1] ** 2
-    return np.linalg.inv(base[None] - xi2[:, None, None] * interior[None])
+def _flat_eigensystem(nz):
+    """Diagonalization of the flat strip operator, shared by every depth and mode.
 
-
-def _apply_preconditioner(inv, w: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(w):
-        return _apply_preconditioner(inv, w.real) + 1j * _apply_preconditioner(inv, w.imag)
-    # per-mode solves as one batched matmul: for each mode the (nz, 2)
-    # right-hand side stacks the real and imaginary parts of the spectrum
-    cols = np.ascontiguousarray(np.fft.rfft(w, axis=-1).T)
-    out = np.matmul(inv, cols.view(np.float64).reshape(*cols.shape, 2))
-    return np.fft.irfft(out.view(np.complex128)[..., 0].T, w.shape[-1], axis=-1)
-
-
-def _preconditioner(op: _StripOperator):
-    """M = P_flat^-1 S on (nz, n) arrays, the left preconditioner of ``op``.
-
-    S scales the interior rows by the local over the flat depth,
-    (h0 + eta)/h0, so that M follows the depth of a flat-bottom layer; in a
-    parallel strip the scale is exactly 1 and M is P_flat^-1 bit for bit.
-    P_flat^-1 is the cached per-mode inverse, so building M factorizes
-    nothing.
+    B is Dz^2 on the interior rows plus the Dirichlet (z = 0) and Neumann
+    (z = -1) rows, and E projects onto the interior rows.  Returns
+    (W^-1 B^-1, lam, W) with B^-1 E = W diag(lam) W^-1; lam is real and <= 0.
     """
-    inv = _flat_preconditioner(op.grid, op.nz, op.geo)
-    scale = op.dz_rho_surface / op.geo.depth
+    _, Dz = chebyshev(nz)
+    base = Dz @ Dz
+    base[0] = np.eye(nz)[0]
+    base[-1] = Dz[-1]
+    binv = np.linalg.inv(base)
+    lam, w = np.linalg.eig(binv * np.r_[0.0, np.ones(nz - 2), 0.0])
+    if np.iscomplexobj(lam):
+        raise ValueError(f"flat strip operator has complex modes at nz={nz}")
+    return np.linalg.solve(w, binv), lam, w
 
-    def apply(w):
+
+class _Preconditioner:
+    """M = P_h^-1 S on (nz, n) arrays, the left preconditioner of ``op``.
+
+    P_h is the flat operator at depth h (Dz^2/h^2 - xi^2 on interior rows)
+    and S scales the interior rows by d/h, d = ``op.dz_rho_surface`` the
+    local depth.  At the harmonic-mean depth h = 1/mean(1/d) the x-mean of
+    the scaled z-coefficient 1/(h d) is the flat 1/h^2.  Per mode xi,
+    P_h^-1 = W diag(1/(1 - xi^2 h^2 lam)) W^-1 B^-1 diag(1, h^2, .., h^2, 1).
+    """
+
+    def __init__(self, op: _StripOperator):
+        d = op.dz_rho_surface
+        self.depth = h = float(1.0 / np.mean(1.0 / d))
+        self.left, lam, self.right = _flat_eigensystem(op.nz)
+        xi2 = op.grid.xi[: op.grid.n // 2 + 1] ** 2
+        self.gain = 1.0 / (1.0 - (h * h * lam)[:, None] * xi2[None, :])
+        self.row_scale = d * h  # S, then the h^2 of the interior rows
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        if np.iscomplexobj(w):
+            return self(w.real) + 1j * self(w.imag)
         w = w.copy()
-        w[1:-1] *= scale
-        return _apply_preconditioner(inv, w)
-
-    return apply
+        w[1:-1] *= self.row_scale
+        # the z-matrices act on the interleaved real and imaginary parts
+        wh = self.left @ np.fft.rfft(w, axis=-1).view(np.float64)
+        wh = self.right @ (wh.view(np.complex128) * self.gain).view(np.float64)
+        return np.fft.irfft(wh.view(np.complex128), w.shape[-1], axis=-1)
 
 
 @dataclass
 class StripSolution:
     """Lifted potential v(x, z) on the flattened strip with its residual.
 
-    ``residual`` is measured on the preconditioned system,
-    ||M (A v - b)|| / ||M b|| with M = P_flat^-1 S (depth-scaled interior
-    rows, then the flat-interface inverse), which is the error-equivalent
-    metric.  Both the GMRES and the dense oracle path report it.
-    ``residual_history`` holds that residual after each GMRES refinement
-    cycle and ``iterations`` the total GMRES iterations (empty and 0 for the
-    dense oracle path).
+    ``residual`` is ||M (A v - b)|| / ||M b||, the error-equivalent metric
+    of the preconditioned system with M = P_h^-1 S at the flat depth
+    h = ``precond_depth``; the GMRES and the dense oracle path both report
+    it.  ``residual_history`` holds it after each GMRES refinement cycle and
+    ``iterations`` the total GMRES iterations (empty and 0 for the dense
+    oracle path).
     """
 
     v: np.ndarray  # (nz, n), v[0] is the surface row z = 0
@@ -309,17 +309,15 @@ class StripSolution:
     operator: _StripOperator
     residual_history: tuple = ()
     iterations: int = 0
+    precond_depth: float = math.nan
 
     def coordinates(self) -> CoordinateMap:
         return coordinate_map(self.eta, self.geo, len(self.z))
 
-    def surface_dz(self) -> np.ndarray:
-        return self.operator.Dz[0] @ self.v
-
     def trace_dn(self) -> Field:
         """(1+eta_x^2)/dz_rho * dv/dz - eta_x * dv/dx at z = 0."""
         op = self.operator
-        vz0 = self.surface_dz()
+        vz0 = op.Dz[0] @ self.v
         vx0 = spectral_derivative(self.v[0], self.grid.xi)
         g = (1.0 + op.eta_x**2) / op.dz_rho_surface * vz0 - op.eta_x * vx0
         return Field(self.grid, g)
@@ -347,13 +345,12 @@ def solve_strip(
     if nz < 8:
         raise ValueError("nz must be at least 8")
     op = _StripOperator(eta, geo, nz)
+    precond = _Preconditioner(op)
     b = op.rhs(psi)
-    if np.linalg.norm(b) == 0:
-        return StripSolution(np.zeros_like(b), op.z, eta.grid, geo, eta, psi, 0.0, op)
-
-    precond = _preconditioner(op)
     history, iterations = (), 0
-    if method == "dense":
+    if np.linalg.norm(b) == 0:
+        v, res = np.zeros_like(b), 0.0
+    elif method == "dense":
         A = op.dense_matrix()
         v = np.linalg.solve(A, b.ravel()).reshape(nz, eta.grid.n)
         r = (A @ v.ravel()).reshape(v.shape) - b
@@ -365,13 +362,16 @@ def solve_strip(
         raise ValueError(f"unknown solve method {method!r}")
 
     if res > _accepted_residual(tol):
+        cycles = (f"{iterations} GMRES iterations, cycle residuals "
+                  + ", ".join(f"{h:.3e}" for h in history) if history
+                  else "direct solve, no GMRES cycles")
         raise SolverError(
             f"strip solve residual {res:.3e} above tolerance (method={method}, "
-            f"{iterations} GMRES iterations, cycle residuals "
-            f"{', '.join(f'{h:.3e}' for h in history)})",
+            f"preconditioner depth {precond.depth:.6g}, {cycles})",
             residual=res, residual_history=history, iterations=iterations,
         )
-    return StripSolution(v, op.z, eta.grid, geo, eta, psi, res, op, history, iterations)
+    return StripSolution(v, op.z, eta.grid, geo, eta, psi, res, op, history, iterations,
+                         precond.depth)
 
 
 def _accepted_residual(tol: float) -> float:

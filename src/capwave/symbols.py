@@ -95,12 +95,13 @@ class Symbol:
     ``homogeneous`` declares that the principal part is positively
     homogeneous of degree ``order`` in xi and the sub-principal part of
     degree ``order - 1``; the quantizer then builds the symbol from its
-    traces at xi = +-1.  Declare any other symbol ``homogeneous=False``.
+    traces at xi = +-1.  Every constructor states it: a symbol of any other
+    form is ``homogeneous=False`` and is sampled on the full grid.
     """
 
     def __init__(self, grid, order, principal, subprincipal=None,
-                 dxi_principal=None, dxi_subprincipal=None,
-                 homogeneous=True, name=""):
+                 dxi_principal=None, dxi_subprincipal=None, *,
+                 homogeneous, name=""):
         self.grid = grid
         self.order = float(order)
         self.principal = _memo_part(principal)
@@ -197,8 +198,9 @@ class Symbol:
                    homogeneous=True, name=name or "paraproduct")
 
     @classmethod
-    def from_multiplier(cls, grid: Grid, order, fn, dfn=None, name="") -> "Symbol":
-        """x-independent symbol a(xi)."""
+    def from_multiplier(cls, grid: Grid, order, fn, dfn=None, *, homogeneous,
+                        name="") -> "Symbol":
+        """x-independent symbol a(xi); ``homogeneous`` as for ``Symbol``."""
 
         def principal(xi):
             xi = _as_xi_array(xi)
@@ -210,7 +212,8 @@ class Symbol:
                 xi = _as_xi_array(xi)
                 return np.repeat(np.asarray(dfn(xi))[None, :], grid.n, axis=0)
 
-        return cls(grid, order, principal, dxi_principal=dxi, name=name)
+        return cls(grid, order, principal, dxi_principal=dxi, homogeneous=homogeneous,
+                   name=name)
 
 
 def _slope_fields(eta: Field):
@@ -249,7 +252,7 @@ def dn_symbol(eta: Field) -> Symbol:
         return (w / (2.0 * lam1(xi))) * (div_term + grad_term)
 
     return Symbol(grid, 1.0, lam1, subprincipal=lam0, dxi_principal=dxi_lam1,
-                  name="dn")
+                  homogeneous=True, name="dn")
 
 
 def curvature_symbol(eta: Field) -> Symbol:
@@ -271,7 +274,7 @@ def curvature_symbol(eta: Field) -> Symbol:
         return -0.5j * spectral_derivative(dxi_h2(xi), grid.xi, axis=0)
 
     return Symbol(grid, 2.0, h2, subprincipal=h1, dxi_principal=dxi_h2,
-                  name="curvature")
+                  homogeneous=True, name="curvature")
 
 
 def symmetrizer(eta: Field) -> tuple[Symbol, Symbol, Symbol]:
@@ -327,11 +330,11 @@ def symmetrizer(eta: Field) -> tuple[Symbol, Symbol, Symbol]:
                 + 1j * dxi_g32(xi) * spectral_derivative(p12(xi), grid.xi, axis=0))
         return term / g32(xi)
 
-    q_sym = Symbol(grid, 0.0, q_part, dxi_principal=q_dxi, name="q")
+    q_sym = Symbol(grid, 0.0, q_part, dxi_principal=q_dxi, homogeneous=True, name="q")
     p_sym = Symbol(grid, 0.5, p12, subprincipal=pm12, dxi_principal=dxi_p12,
-                   name="p")
+                   homogeneous=True, name="p")
     g_sym = Symbol(grid, 1.5, g32, subprincipal=g12, dxi_principal=dxi_g32,
-                   name="gamma")
+                   homogeneous=True, name="gamma")
     return p_sym, q_sym, g_sym
 
 
@@ -356,7 +359,7 @@ def parametrix(eta: Field, p: Symbol) -> Symbol:
         return -inner / p.principal(xi)
 
     return Symbol(grid, -0.5, wm12, subprincipal=wm32, dxi_principal=dxi_wm12,
-                  name="parametrix")
+                  homogeneous=True, name="parametrix")
 
 
 def factorization(eta: Field, geo) -> tuple[Symbol, Symbol]:
@@ -406,9 +409,9 @@ def factorization(eta: Field, geo) -> tuple[Symbol, Symbol]:
         return (cross(xi) - (ga / al) * A1(xi)) / (a1(xi) - A1(xi))
 
     a_sym = Symbol(grid, 1.0, a1, subprincipal=a0, dxi_principal=dxi_a1,
-                   name="a")
+                   homogeneous=True, name="a")
     A_sym = Symbol(grid, 1.0, A1, subprincipal=A0, dxi_principal=dxi_A1,
-                   name="A")
+                   homogeneous=True, name="A")
     return a_sym, A_sym
 
 
@@ -449,7 +452,8 @@ def elliptic_weight(eta: Field, s: float) -> Symbol:
         g = gam.principal(xi).real
         return expo * g ** (expo - 1.0) * gam.dxi_principal(xi).real
 
-    return Symbol(grid, s, beta, dxi_principal=dxi_beta, name=f"weight(s={s:g})")
+    return Symbol(grid, s, beta, dxi_principal=dxi_beta, homogeneous=True,
+                  name=f"weight(s={s:g})")
 
 
 def poisson_bracket(f: Symbol, g: Symbol, which: str = "principal") -> Symbol:

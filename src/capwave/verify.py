@@ -208,7 +208,7 @@ def _suite_symbols(seed: int, timings: dict) -> list:
 
     hl = Symbol(grid, 3.0, lambda z: h.principal(z) * lam.principal(z),
                 dxi_principal=lambda z: h.dxi_principal(z) * lam.principal(z)
-                + h.principal(z) * lam.dxi_principal(z), name="h*lam")
+                + h.principal(z) * lam.dxi_principal(z), homogeneous=True, name="h*lam")
     br1 = poisson_bracket(h, lam).principal_at(xi)
     br2 = poisson_bracket(hl, q).principal_at(xi)
     fre = 0.5 * br1 * q.principal_at(xi) - br2
@@ -321,7 +321,8 @@ def _suite_calculus(seed: int, timings: dict) -> list:
 
     wp = parametrix(eta, p)
     ident = quant.operator(Symbol.from_multiplier(
-        grid, 0.0, lambda z: np.ones_like(z), dfn=lambda z: np.zeros_like(z)))
+        grid, 0.0, lambda z: np.ones_like(z), dfn=lambda z: np.zeros_like(z),
+        homogeneous=True))
     twp = quant.operator(wp)
     probe("parametrix_inverse",
           lambda f: ops["p"](twp(f)), ident.apply, 0.0, 1.5, seed + 6)
@@ -402,11 +403,11 @@ def _suite_smoothing(seed: int, timings: dict) -> list:
         w = np.hypot(1.0, grid.x) ** (-1.0 - 2 * delta)
         return w[:, None] * np.abs(xi)[None, :] ** 0.5
 
-    d_sym = Symbol(grid, 0.5, d_principal, name="d")
+    d_sym = Symbol(grid, 0.5, d_principal, homogeneous=True, name="d")
     samples = [gaussian_packet(grid, 2.0, seed + 30 + i, 1.0) for i in range(6)]
     rep = garding_fit(d_sym, delta, samples, quant)
     checks.append(_check("smoothing.garding_a", rep["a"], 0.0, ">="))
-    doubled = Symbol(grid, 0.5, lambda z: 2.0 * d_principal(z), name="2d")
+    doubled = Symbol(grid, 0.5, lambda z: 2.0 * d_principal(z), homogeneous=True, name="2d")
     rep2 = garding_fit(doubled, delta, samples, quant)
     checks.append(_check("smoothing.garding_monotone", rep2["a"] - rep["a"], 0.0, ">="))
 

@@ -1,6 +1,9 @@
 """Dirichlet-Neumann solver against separation-of-variables, dense-assembly,
 and finite-difference oracles."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -89,27 +92,65 @@ def test_gmres_matches_dense_at_large_amplitude(geo):
     assert s_dn.residual_history == () and s_dn.iterations == 0
 
 
-def test_half_spectrum_preconditioner_matches_full_fft_reference():
-    nz, geo = 16, Geometry("flat_bottom", 1.3)
-    inv = dno._flat_preconditioner(GRID, nz, geo)
-    assert inv.shape == (GRID.n // 2 + 1, nz, nz)
-    # reference: per-mode solves of the flat operator on the full complex spectrum
+def flat_inverse_reference(w, nz, h, xi):
+    """P_h^-1 w by per-mode dense solves of the flat operator at depth h."""
     _, dz = dno.chebyshev(nz)
-    flat = dz @ dz / geo.depth**2
+    flat = dz @ dz / h**2
     flat[0, :] = 0.0
     flat[0, 0] = 1.0
     flat[-1, :] = dz[-1, :]
     interior = np.diag(np.r_[0.0, np.ones(nz - 2), 0.0])
-    w = np.random.default_rng(3).standard_normal((nz, GRID.n))
     wh = np.fft.fft(w, axis=-1)
-    ref = np.empty_like(wh)
-    for k, xi in enumerate(GRID.xi):
-        ref[:, k] = np.linalg.solve(flat - xi**2 * interior, wh[:, k])
-    ref = np.fft.ifft(ref, axis=-1)
-    assert np.max(np.abs(ref.imag)) <= 1e-13 * np.max(np.abs(ref.real))
-    out = dno._apply_preconditioner(inv, w)
+    out = np.empty_like(wh)
+    for k, x in enumerate(xi):
+        mat = flat - x**2 * interior
+        # equilibrated rows: unscaled, the nz^4 / h^2 interior rows cost the
+        # solve about 3e-12 at nz = 48, h = 0.42
+        r = 1.0 / np.max(np.abs(mat), axis=1)
+        out[:, k] = np.linalg.solve(r[:, None] * mat, r * wh[:, k])
+    return np.fft.ifft(out, axis=-1).real
+
+
+@pytest.mark.parametrize("nz", [8, 16, 48])
+@pytest.mark.parametrize("h", [0.42, 1.0, 1.9])
+def test_diagonalized_preconditioner_matches_flat_solve(h, nz):
+    # h0 + eta with eta = h0/2 cos x has harmonic-mean depth h0 sqrt(3)/2 = h
+    h0 = h / np.sqrt(0.75)
+    op = dno._StripOperator(cos_field(GRID, 1, 0.5 * h0), Geometry("flat_bottom", h0), nz)
+    precond = dno._Preconditioner(op)
+    assert abs(precond.depth - h) <= 1e-14 * h
+    w = np.random.default_rng(3).standard_normal((nz, GRID.n))
+    scaled = w.copy()
+    scaled[1:-1] *= (h0 + 0.5 * h0 * np.cos(GRID.x)) / h  # S: local over h
+    ref = flat_inverse_reference(scaled, nz, h, GRID.xi)
+    out = precond(w)
     assert np.isrealobj(out)
-    assert np.max(np.abs(out - ref.real)) <= 1e-13 * np.max(np.abs(ref.real))
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_parallel_strip_preconditioner_is_flat_inverse_at_strip_depth():
+    nz, geo = 16, Geometry("parallel_strip", 1.3)
+    op = dno._StripOperator(cos_field(GRID, 1, 0.5), geo, nz)
+    precond = dno._Preconditioner(op)
+    assert abs(precond.depth - geo.depth) <= 1e-15
+    w = np.random.default_rng(4).standard_normal((nz, GRID.n))
+    ref = flat_inverse_reference(w, nz, geo.depth, GRID.xi)
+    assert np.max(np.abs(precond(w) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_preconditioner_is_freed_without_the_cycle_collector():
+    # M holds no reference cycle, so each solve's arrays go with the solve
+    op = dno._StripOperator(cos_field(GRID, 1, 0.3), FLAT, 16)
+    precond = dno._Preconditioner(op)
+    w = np.ones((16, GRID.n))
+    assert np.array_equal(precond(w + 1j * w), precond(w) + 1j * precond(w))
+    ref = weakref.ref(precond)
+    gc.disable()
+    try:
+        del precond
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("geo", [FLAT, STRIP])
@@ -134,35 +175,33 @@ def test_stagnating_solve_reports_residual_history():
     assert exc.residual == exc.residual_history[-1] > 1e-10
     assert exc.iterations > 0
     assert "cycle residuals" in str(exc)
+    assert f"preconditioner depth {np.sqrt(1 - 0.9**2):.6g}" in str(exc)
+
+
+def test_dense_solve_error_names_no_cycles(monkeypatch):
+    monkeypatch.setattr(dno, "_accepted_residual", lambda tol: -1.0)
+    eta = cos_field(GRID, 1, 0.3)
+    with pytest.raises(SolverError) as err:
+        solve_strip(eta, Field(GRID, np.sin(GRID.x)), FLAT, 16, method="dense")
+    exc = err.value
+    assert exc.residual_history == () and exc.iterations == 0
+    assert str(exc).endswith(
+        f"(method=dense, preconditioner depth {np.sqrt(1 - 0.3**2):.6g}, "
+        "direct solve, no GMRES cycles)")
 
 
 def test_large_amplitude_solve_takes_one_cycle():
-    # the depth-following row scale (h0 + eta)/h0 keeps the 0.9-depth solve
-    # of rough psi inside one GMRES cycle (109 iterations); the flat
-    # preconditioner alone (241) and the squared scale (184) need two
+    # M at the harmonic-mean depth keeps the 0.9-depth solve of rough psi
+    # inside one GMRES cycle in 53 iterations (28 at 0.7); at h0 with the
+    # scale d/h0 these took 109 (39), and at 0.9 the flat preconditioner at
+    # h0 alone (241) and the squared scale (184) need two cycles
     grid = Grid(128, 2 * np.pi)
-    eta = cos_field(grid, 1, 0.9)
     psi = power_law_field(grid, 2.0, 1)
-    sol = solve_strip(eta, psi, FLAT, 48)
-    assert len(sol.residual_history) == 1
-    assert sol.iterations < 150
-
-
-def test_parallel_strip_row_scale_is_exact_identity():
-    # the row scale (local over flat depth) is exactly 1 in a parallel strip:
-    # G(eta)psi is bit for bit the one of the flat preconditioner alone
-    eta = cos_field(GRID, 1, 0.5)
-    psi = Field(GRID, np.sin(GRID.x) + 0.3 * np.cos(3 * GRID.x))
-    scaled = dirichlet_neumann(eta, psi, STRIP, 16).values
-
-    def flat(op):
-        inv = dno._flat_preconditioner(op.grid, op.nz, op.geo)
-        return lambda w: dno._apply_preconditioner(inv, w)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dno, "_preconditioner", flat)
-        plain = dirichlet_neumann(eta, psi, STRIP, 16).values
-    assert np.array_equal(scaled, plain)
+    for amp, most in ((0.7, 32), (0.9, 60)):
+        sol = solve_strip(cos_field(grid, 1, amp), psi, FLAT, 48)
+        assert len(sol.residual_history) == 1
+        assert sol.iterations <= most
+        assert abs(sol.precond_depth - np.sqrt(1 - amp**2)) <= 1e-14
 
 
 def test_refinement_cycle_aims_at_the_solve_target():

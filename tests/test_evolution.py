@@ -48,13 +48,13 @@ def test_zero_state_is_equilibrium():
 
 
 def test_caches_are_bounded_lrus():
-    caches = (evolution.shared_quantizer, dno._flat_preconditioner,
+    caches = (evolution.shared_quantizer, dno._flat_eigensystem,
               evolution._etdrk4_coefficients)
     assert all(c.cache_info().maxsize == CACHE_MAXSIZE for c in caches)
     grids = [Grid(8 + 2 * i, 2 * np.pi) for i in range(CACHE_MAXSIZE + 1)]
-    for grid in grids:
+    for i, grid in enumerate(grids):
         evolution.shared_quantizer(grid)
-        dno._flat_preconditioner(grid, 8, GEO)
+        dno._flat_eigensystem(8 + i)
     for cache in caches[:2]:
         assert cache.cache_info().currsize == CACHE_MAXSIZE
     # least recently used goes first: the newest grid is kept, the oldest rebuilt

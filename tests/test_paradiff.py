@@ -84,7 +84,7 @@ def homogeneous_constructors(eta):
     return [lam, h, p, q, gam, parametrix(eta, p), a_s, A_s,
             elliptic_weight(eta, 2.6), compose(p, lam, 1.5), compose(q, h, 1.5),
             adjoint_symbol(gam, 1.5), Symbol.from_field(eta),
-            Symbol.from_multiplier(grid, 1.5, lambda z: np.abs(z) ** 1.5),
+            Symbol.from_multiplier(grid, 1.5, lambda z: np.abs(z) ** 1.5, homogeneous=True),
             build_escape(0.1, 0.05, grid).symbol()]
 
 
@@ -160,7 +160,7 @@ def test_dense_matches_direct_summation_oracle():
 
 def test_constant_symbol_is_high_pass():
     one = Symbol.from_multiplier(GRID, 0.0, lambda z: np.ones_like(z),
-                                 dfn=lambda z: np.zeros_like(z))
+                                 dfn=lambda z: np.zeros_like(z), homogeneous=True)
     rng = np.random.default_rng(1)
     u = shell_field(GRID, 3, 0.0, rng)
     got = Q.quantize(one, u).spectrum
@@ -169,7 +169,8 @@ def test_constant_symbol_is_high_pass():
 
 def test_multiplier_symbol_exact():
     sym = Symbol.from_multiplier(GRID, 1.5, lambda z: np.abs(z) ** 1.5,
-                                 dfn=lambda z: 1.5 * np.sign(z) * np.abs(z) ** 0.5)
+                                 dfn=lambda z: 1.5 * np.sign(z) * np.abs(z) ** 0.5,
+                                 homogeneous=True)
     rng = np.random.default_rng(2)
     u = shell_field(GRID, 3, 0.0, rng)
     got = Q.quantize(sym, u).spectrum
@@ -235,7 +236,7 @@ def test_paraproduct_with_rough_symbol():
 def test_compose_with_one_is_identity():
     gam = symmetrizer(ETA)[2]
     one = Symbol.from_multiplier(GRID, 0.0, lambda z: np.ones_like(z),
-                                 dfn=lambda z: np.zeros_like(z))
+                                 dfn=lambda z: np.zeros_like(z), homogeneous=True)
     xi = np.array([1.0, 2.0, -5.0])
     comp = compose(gam, one, 1.5)
     assert np.max(np.abs(comp.principal_at(xi) - gam.principal_at(xi))) < 1e-14
@@ -246,7 +247,7 @@ def test_compose_one_term_leibniz():
     # a = |xi|, b = q(x): a#b = |xi| q + (1/i) sgn(xi) q_x
     qvals = 1.0 + 0.1 * np.sin(GRID.x)
     b = Symbol.from_field(Field(GRID, qvals), name="q")
-    a = Symbol.from_multiplier(GRID, 1.0, np.abs, dfn=np.sign, name="|xi|")
+    a = Symbol.from_multiplier(GRID, 1.0, np.abs, dfn=np.sign, homogeneous=True, name="|xi|")
     comp = compose(a, b, 1.5)
     xi = np.array([1.0, 2.0, -3.0])
     qx = 0.1 * np.cos(GRID.x)
@@ -268,7 +269,7 @@ def test_symmetrizer_compositions_agree():
 
 
 def test_adjoint_real_multiplier():
-    a = Symbol.from_multiplier(GRID, 1.0, np.abs, dfn=np.sign)
+    a = Symbol.from_multiplier(GRID, 1.0, np.abs, dfn=np.sign, homogeneous=True)
     astar = adjoint_symbol(a, 1.5)
     xi = np.array([1.0, -2.0, 4.0])
     assert np.max(np.abs(astar.total_at(xi) - a.total_at(xi))) < 1e-14

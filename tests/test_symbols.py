@@ -32,6 +32,7 @@ def product_symbol(a, b):
         lambda z: a.principal(z) * b.principal(z),
         dxi_principal=lambda z: a.dxi_principal(z) * b.principal(z)
         + a.principal(z) * b.dxi_principal(z),
+        homogeneous=True,
         name=f"{a.name}*{b.name}",
     )
 
@@ -157,7 +158,7 @@ def test_parametrix_flat_and_composition():
 
 def test_parametrix_rejects_nonelliptic():
     p, _, _ = symmetrizer(ETA)
-    bad = Symbol(GRID, 0.5, lambda z: -p.principal(z), name="bad")
+    bad = Symbol(GRID, 0.5, lambda z: -p.principal(z), homogeneous=True, name="bad")
     with pytest.raises(ValueError):
         parametrix(ETA, bad)
 
@@ -259,20 +260,35 @@ def test_elliptic_weight():
 
 
 def test_seminorm_abs_xi():
-    sym = Symbol.from_multiplier(GRID, 1.0, np.abs, dfn=np.sign, name="|xi|")
+    sym = Symbol.from_multiplier(GRID, 1.0, np.abs, dfn=np.sign, homogeneous=True,
+                                 name="|xi|")
     assert abs(seminorm(sym, 1.0, 0.0) - 1.0) <= 0.05
 
 
 def test_seminorm_constant():
     one = Symbol.from_multiplier(GRID, 0.0, lambda z: np.ones_like(z),
-                                 dfn=lambda z: np.zeros_like(z), name="1")
+                                 dfn=lambda z: np.zeros_like(z), homogeneous=True, name="1")
     assert abs(seminorm(one, 0.0, 0.0) - 1.0) < 1e-12
 
 
 def test_seminorm_rejects_bad_rho():
-    one = Symbol.from_multiplier(GRID, 0.0, lambda z: np.ones_like(z))
+    one = Symbol.from_multiplier(GRID, 0.0, lambda z: np.ones_like(z), homogeneous=True)
     with pytest.raises(ValueError):
         seminorm(one, 0.0, 0.7)
+
+
+def test_homogeneity_must_be_stated():
+    # a default of True let the constant -1 at order 0.5 quantize to -2.83
+    # at |xi| = 8; every constructor now has to say which form it has
+    def minus_one(z):
+        return -np.ones((GRID.n, np.atleast_1d(z).size))
+
+    with pytest.raises(TypeError):
+        Symbol(GRID, 0.5, minus_one, name="bad")
+    with pytest.raises(TypeError):
+        Symbol(GRID, 0.5, minus_one, None, None, None, False)
+    with pytest.raises(TypeError):
+        Symbol.from_multiplier(GRID, 0.0, lambda z: np.ones_like(z))
 
 
 def test_poisson_bracket_antisymmetry_and_diagonal():
@@ -325,7 +341,7 @@ def test_subprincipal_homogeneity():
         assert subprincipal_homogeneity_defect(sym) < 1e-12, sym.name
     # a sub-principal part of the wrong degree is caught
     wrong = Symbol(GRID, gam.order, gam.principal, subprincipal=gam.principal,
-                   dxi_principal=gam.dxi_principal)
+                   dxi_principal=gam.dxi_principal, homogeneous=True)
     assert subprincipal_homogeneity_defect(wrong) > 0.1
 
 
