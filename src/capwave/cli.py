@@ -20,9 +20,8 @@ import numpy as np
 from .corpus import gaussian_packet
 from .dno import Geometry, GeometryError
 from .evolution import EvolutionAbort, WaveState, dispersion_fit, run, shared_quantizer
-from .field import Field, Grid, x_derivative
+from .field import Field, Grid
 from .smoothing import bound_check, build_escape, garding_fit, kato_integral
-from .symbols import Symbol
 from .verify import SUITES, run_suite
 
 __all__ = ["RunConfig", "parse_config", "run_simulate", "run_verify", "main"]
@@ -212,15 +211,7 @@ def _smoothing_report(cfg: RunConfig, traj) -> dict:
     final_eta = traj.states[-1].eta
     esc = build_escape(cfg.delta, 0.05, grid)
     doi = bound_check(final_eta, esc)
-    ex = x_derivative(final_eta).values.real
-    c = (1.0 + ex**2) ** -0.75
-    ax = esc.x_derivative(1.0)
-
-    def d_principal(xi):
-        xi = np.atleast_1d(xi)
-        return 1.5 * (c * ax)[:, None] * np.abs(xi)[None, :] ** 0.5
-
-    d_sym = Symbol(grid, 0.5, d_principal, homogeneous=True, name="doi-bracket")
+    d_sym = esc.doi_bracket(final_eta)
     quant = shared_quantizer(grid)
     samples = [gaussian_packet(grid, 2.0, cfg.seed + 60 + i, 1.0) for i in range(4)]
     try:

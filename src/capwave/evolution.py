@@ -36,8 +36,8 @@ from .field import (
     x_derivative,
 )
 from .paradiff import DenseOp, Quantizer
-from .symbols import Symbol, curvature_symbol, dn_symbol, mollifier_symbol, \
-    parametrix, symmetrizer
+from .symbols import Mollifier, Symbol, curvature_symbol, dn_symbol, parametrix, \
+    symmetrizer
 
 __all__ = [
     "WaveState",
@@ -226,7 +226,7 @@ def mollified_rhs(state: WaveState, eps: float) -> tuple[Field, Field]:
     lam = dn_symbol(eta)
     curv = curvature_symbol(eta)
     wp = parametrix(eta, p)
-    jm1 = _mollifier_minus_one(eta, eps, gam)
+    jm1 = Mollifier(gam, eps, -1.0, name=f"j(eps={eps:g})-1")
 
     t_lam = quant.operator(lam)
     t_h = quant.operator(curv)
@@ -234,7 +234,7 @@ def mollified_rhs(state: WaveState, eps: float) -> tuple[Field, Field]:
     t_q = quant.operator(q)
     t_wp = quant.operator(wp)
     t_invq = quant.operator(Symbol.from_field(
-        Field(eta.grid, 1.0 / q.principal_at(np.array([1.0]))[:, 0].real), name="1/q"))
+        Field(eta.grid, 1.0 / q.principal[:, 0].real), name="1/q"))
     t_jm1 = quant.operator(jm1)
     t_b = state.t_b
     t_v = quant.operator(Symbol.from_field(state.v_field, name="V"))
@@ -264,17 +264,6 @@ def mollified_rhs(state: WaveState, eps: float) -> tuple[Field, Field]:
         + f2_m
     )
     return eta_t.real(), psi_t.real()
-
-
-def _mollifier_minus_one(eta: Field, eps: float, gamma: Symbol | None = None) -> Symbol:
-    j = mollifier_symbol(eta, eps, gamma)
-
-    def principal(xi):
-        return j.principal(xi) - 1.0
-
-    return Symbol(eta.grid, 0.0, principal, subprincipal=j.subprincipal,
-                  dxi_principal=j.dxi_principal, homogeneous=False,
-                  name=f"j(eps={eps:g})-1")
 
 
 def hamiltonian(state: WaveState) -> tuple[float, float]:
@@ -617,17 +606,11 @@ def _symbol_time_derivative(build, eta: Field, eta_t: Field, tau: float = 1e-5):
     """Centered difference of a symbol construction along the flow direction."""
     sym_p = build(eta + eta_t * tau)
     sym_m = build(eta + eta_t * (-tau))
-
-    def principal(xi):
-        return (sym_p.principal(xi) - sym_m.principal(xi)) / (2.0 * tau)
-
     sub = None
     if sym_p.subprincipal is not None:
-        def sub(xi):  # noqa: E306
-            return (sym_p.subprincipal(xi) - sym_m.subprincipal(xi)) / (2.0 * tau)
-
-    return Symbol(eta.grid, sym_p.order, principal, subprincipal=sub,
-                  homogeneous=sym_p.homogeneous, name=f"dt[{sym_p.name}]")
+        sub = (sym_p.subprincipal - sym_m.subprincipal) / (2.0 * tau)
+    return Symbol(eta.grid, sym_p.order, (sym_p.principal - sym_m.principal) / (2.0 * tau),
+                  sub, name=f"dt[{sym_p.name}]")
 
 
 def symmetrized_residuals(state: WaveState) -> dict:

@@ -6,17 +6,17 @@ The quantizer realizes
                      psi(xi_k') u^(xi_k')
 
 in Fourier-series coefficients, where ahat(., eta) is the spatial transform
-of the symbol frozen at frequency eta.  In one dimension a homogeneous part
-of order m is a_(sgn xi)(x) |xi|^m, so ahat(theta, eta) is the transform of
-one of its two traces at xi = +-1 times |eta|^m.  A homogeneous symbol is
-therefore quantized from its principal and sub-principal traces, an (n, 2)
-array each: one FFT along x, then a gather of the transforms into the dense
-n x n coefficient matrix, on the support of chi psi only.  Any other symbol
-(the mollifier) is sampled on the full (x, xi) grid and goes through the
-same gather, one column per frozen frequency.  All operator probes
-(remainder orders, boundedness constants) are driven through the dense
-matrix.  Symbolic composition and adjoints follow the two-order truncation
-appropriate for principal + sub-principal symbols.
+of the symbol frozen at frequency eta.  A :class:`Symbol` part of order m is
+a_(sgn xi)(x) |xi|^m, so ahat(theta, eta) is the transform of one of its
+two x-traces times |eta|^m: the matrix is one FFT along x of the principal
+and sub-principal traces, an (n, 2) array each, then a gather of the
+transforms into the dense n x n coefficient matrix, on the support of
+chi psi only.  A :class:`Mollifier` is not homogeneous; it is sampled on the
+full (x, xi) grid and goes through the same gather, one column per frozen
+frequency.  All operator probes (remainder orders, boundedness constants)
+are driven through the dense matrix.  Symbolic composition and adjoints
+follow the two-order truncation appropriate for principal + sub-principal
+symbols and are exact algebra on the traces.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .cutoffs import smooth_step
 from .field import Field, Grid, sobolev_norm, spectral_derivative
-from .symbols import Symbol
+from .symbols import SIGNS, Mollifier, Symbol, sub_traces
 
 __all__ = [
     "Quantizer",
@@ -89,26 +89,24 @@ class Quantizer:
     def matrix(self, symbol: Symbol) -> np.ndarray:
         """Dense coefficient-space matrix of T_symbol.
 
-        A symbol declared ``homogeneous`` is built from its x-traces at
-        xi = +-1, with no (x, xi) sample: column eta gathers the transform of
-        the principal trace at sgn(eta) times |eta|^order, plus that of the
-        sub-principal trace times |eta|^(order - 1).  Any other symbol is
-        sampled on the full grid and gathered with the identity column plan
-        (column eta, weight 1).  Only entries inside the support of
-        chi(theta, eta) psi(eta) are computed.
+        A :class:`Symbol` is built from its x-traces at xi = +-1, with no
+        (x, xi) sample: column eta gathers the transform of the principal
+        trace at sgn(eta) times |eta|^order, plus that of the sub-principal
+        trace times |eta|^(order - 1).  A :class:`Mollifier` is sampled on
+        the full grid (``sample_grid``) and gathered with the identity
+        column plan (column eta, weight 1).  Only entries inside the support
+        of chi(theta, eta) psi(eta) are computed.
         """
         if symbol.grid != self.grid:
             raise ValueError("symbol and quantizer live on different grids")
-        if symbol.homogeneous:
-            ends = np.array([1.0, -1.0])
-            plan = [(symbol.principal_at(ends), self._column_weight(symbol.order))]
-            if symbol.subprincipal is not None:
-                plan.append((symbol.subprincipal_at(ends),
-                             self._column_weight(symbol.order - 1.0)))
-            index = self._sign_index
-        else:
+        if isinstance(symbol, Mollifier):
             plan = [(symbol.sample_grid(), 1.0)]
             index = self._identity_index
+        else:
+            plan = [(symbol.principal, self._column_weight(symbol.order))]
+            if symbol.subprincipal is not None:
+                plan.append((symbol.subprincipal, self._column_weight(symbol.order - 1.0)))
+            index = self._sign_index
         entries = 0.0
         for sample, weight in plan:
             # x-transform of each sampled column (series coefficients)
@@ -168,58 +166,24 @@ def compose(a: Symbol, b: Symbol, rho: float = 1.5) -> Symbol:
         raise ValueError("grid mismatch")
     if rho not in (0.5, 1.0, 1.5):
         raise ValueError("rho must be one of {1/2, 1, 3/2}")
-    grid = a.grid
-
-    def principal(xi):
-        return a.principal(xi) * b.principal(xi)
-
-    def dxi_principal(xi):
-        return a.dxi_principal(xi) * b.principal(xi) + a.principal(xi) * b.dxi_principal(xi)
-
     sub = None
     if rho > 1.0:
-        def sub(xi):  # noqa: E306
-            out = a.principal(xi) * _sub_at(b, xi) + _sub_at(a, xi) * b.principal(xi)
-            out = out + (1.0 / 1j) * a.dxi_principal(xi) \
-                * spectral_derivative(b.principal(xi), grid.xi, axis=0)
-            return out
-
-    return Symbol(grid, a.order + b.order, principal, subprincipal=sub,
-                  dxi_principal=dxi_principal,
-                  homogeneous=a.homogeneous and b.homogeneous,
+        sub = (a.principal * sub_traces(b) + sub_traces(a) * b.principal
+               + (1.0 / 1j) * (a.order * SIGNS * a.principal)
+               * spectral_derivative(b.principal, a.grid.xi, axis=0))
+    return Symbol(a.grid, a.order + b.order, a.principal * b.principal, sub,
                   name=f"{a.name}#{b.name}")
-
-
-def _sub_at(sym: Symbol, xi):
-    if sym.subprincipal is None:
-        xi = np.atleast_1d(xi)
-        return np.zeros((sym.grid.n, xi.size))
-    return sym.subprincipal(xi)
 
 
 def adjoint_symbol(a: Symbol, rho: float = 1.5) -> Symbol:
     """Adjoint symbol a*: conj(a) plus (1/i) dxi dx conj(a^(m)) when rho > 1."""
     if rho not in (0.5, 1.0, 1.5):
         raise ValueError("rho must be one of {1/2, 1, 3/2}")
-    grid = a.grid
-
-    def principal(xi):
-        return np.conj(a.principal(xi))
-
-    def dxi_principal(xi):
-        return np.conj(a.dxi_principal(xi))
-
     sub = None
     if rho > 1.0:
-        def sub(xi):  # noqa: E306
-            out = np.conj(_sub_at(a, xi))
-            out = out + (1.0 / 1j) * spectral_derivative(
-                np.conj(a.dxi_principal(xi)), grid.xi, axis=0)
-            return out
-
-    return Symbol(grid, a.order, principal, subprincipal=sub,
-                  dxi_principal=dxi_principal, homogeneous=a.homogeneous,
-                  name=f"{a.name}*")
+        sub = np.conj(sub_traces(a)) + (1.0 / 1j) * spectral_derivative(
+            np.conj(a.order * SIGNS * a.principal), a.grid.xi, axis=0)
+    return Symbol(a.grid, a.order, np.conj(a.principal), sub, name=f"{a.name}*")
 
 
 def shell_field(grid: Grid, j: int, mu: float, rng) -> Field:

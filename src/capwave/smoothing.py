@@ -104,17 +104,15 @@ class EscapeSymbol:
     def symbol(self) -> Symbol:
         """Paradifferential adapter (order zero, odd in sgn xi)."""
         vals = self.values(1.0)
+        return Symbol(self.grid, 0.0, np.stack([vals, -vals], axis=1), name="escape")
 
-        def principal(xi):
-            xi = np.atleast_1d(xi)
-            return vals[:, None] * np.sign(xi)[None, :]
-
-        def dxi(xi):
-            xi = np.atleast_1d(xi)
-            return np.zeros((self.grid.n, xi.size))
-
-        return Symbol(self.grid, 0.0, principal, dxi_principal=dxi,
-                      homogeneous=True, name="escape")
+    def doi_bracket(self, eta: Field) -> Symbol:
+        """The dispersive bracket (3/2) c a_x |xi|^(1/2), c = (1 + eta_x^2)^(-3/4),
+        as an order-1/2 symbol even in sgn xi."""
+        ex = x_derivative(eta).values.real
+        c = (1.0 + ex**2) ** -0.75
+        return Symbol(self.grid, 0.5, (1.5 * c * self.x_derivative(1.0))[:, None],
+                      name="doi-bracket")
 
 
 def _f_primitive(sigma: np.ndarray, delta: float) -> np.ndarray:

@@ -21,11 +21,13 @@ from capwave.paradiff import (
 )
 from capwave.smoothing import build_escape
 from capwave.symbols import (
+    Mollifier,
     Symbol,
     curvature_symbol,
     dn_symbol,
     elliptic_weight,
     factorization,
+    mollifier_symbol,
     parametrix,
     symmetrizer,
 )
@@ -74,8 +76,8 @@ def sampled_matrix(quantizer, symbol):
     return chi * gathered * quantizer.psi_cut(grid.xi)[None, :]
 
 
-def homogeneous_constructors(eta):
-    """Every symbol constructor that declares homogeneity, built on eta."""
+def trace_constructors(eta):
+    """Every trace-symbol constructor, built on eta."""
     grid = eta.grid
     lam = dn_symbol(eta)
     h = curvature_symbol(eta)
@@ -84,8 +86,8 @@ def homogeneous_constructors(eta):
     return [lam, h, p, q, gam, parametrix(eta, p), a_s, A_s,
             elliptic_weight(eta, 2.6), compose(p, lam, 1.5), compose(q, h, 1.5),
             adjoint_symbol(gam, 1.5), Symbol.from_field(eta),
-            Symbol.from_multiplier(grid, 1.5, lambda z: np.abs(z) ** 1.5, homogeneous=True),
-            build_escape(0.1, 0.05, grid).symbol()]
+            Symbol.from_multiplier(grid, 1.5), build_escape(0.1, 0.05, grid).symbol(),
+            build_escape(0.1, 0.05, grid).doi_bracket(eta)]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -100,24 +102,26 @@ def test_factored_matrix_matches_sampled_path(n, periods, amps, phases):
     wave = 2 * np.pi / grid.length
     eta = Field(grid, sum(a * np.cos((j + 1) * wave * grid.x + ph)
                           for j, (a, ph) in enumerate(zip(amps, phases))))
-    for sym in homogeneous_constructors(eta):
-        assert sym.homogeneous, sym.name
+    for sym in trace_constructors(eta):
+        assert not isinstance(sym, Mollifier), sym.name
         got = quant.matrix(sym)
         assert np.all(np.isfinite(got)), sym.name
         ref = sampled_matrix(quant, sym)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), sym.name
 
 
-def test_nonhomogeneous_symbol_uses_full_sample():
-    # a non-homogeneous symbol (here exp(-xi^2 / 50) a(x)) is sampled, not factored
-    a = 1.0 + 0.2 * np.cos(GRID.x)
-
-    def principal(xi):
-        return a[:, None] * np.exp(-np.atleast_1d(xi) ** 2 / 50.0)[None, :]
-
-    sym = Symbol(GRID, 0.0, principal, homogeneous=False, name="gauss")
-    ref = sampled_matrix(Q, sym)
-    assert np.max(np.abs(Q.matrix(sym) - ref)) <= 1e-15 * np.max(np.abs(ref))
+def test_nonhomogeneous_symbol_uses_full_sample(monkeypatch):
+    # the mollifier is not homogeneous: it is sampled, not factored
+    _, _, gam = symmetrizer(ETA)
+    sampled = []
+    sample_grid = Symbol.sample_grid
+    monkeypatch.setattr(Symbol, "sample_grid",
+                        lambda self: sampled.append(self.name) or sample_grid(self))
+    for sym in (mollifier_symbol(ETA, 0.1, gam), Mollifier(gam, 0.01, -1.0, name="j-1")):
+        got = Q.matrix(sym)
+        ref = sampled_matrix(Q, sym)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert sampled == ["mollifier(eps=0.1)"] * 2 + ["j-1"] * 2
 
 
 def power_law_field(grid, sigma, seed, amplitude=1.0):
@@ -159,8 +163,7 @@ def test_dense_matches_direct_summation_oracle():
 
 
 def test_constant_symbol_is_high_pass():
-    one = Symbol.from_multiplier(GRID, 0.0, lambda z: np.ones_like(z),
-                                 dfn=lambda z: np.zeros_like(z), homogeneous=True)
+    one = Symbol.from_multiplier(GRID, 0.0)
     rng = np.random.default_rng(1)
     u = shell_field(GRID, 3, 0.0, rng)
     got = Q.quantize(one, u).spectrum
@@ -168,9 +171,7 @@ def test_constant_symbol_is_high_pass():
 
 
 def test_multiplier_symbol_exact():
-    sym = Symbol.from_multiplier(GRID, 1.5, lambda z: np.abs(z) ** 1.5,
-                                 dfn=lambda z: 1.5 * np.sign(z) * np.abs(z) ** 0.5,
-                                 homogeneous=True)
+    sym = Symbol.from_multiplier(GRID, 1.5)
     rng = np.random.default_rng(2)
     u = shell_field(GRID, 3, 0.0, rng)
     got = Q.quantize(sym, u).spectrum
@@ -235,8 +236,7 @@ def test_paraproduct_with_rough_symbol():
 
 def test_compose_with_one_is_identity():
     gam = symmetrizer(ETA)[2]
-    one = Symbol.from_multiplier(GRID, 0.0, lambda z: np.ones_like(z),
-                                 dfn=lambda z: np.zeros_like(z), homogeneous=True)
+    one = Symbol.from_multiplier(GRID, 0.0)
     xi = np.array([1.0, 2.0, -5.0])
     comp = compose(gam, one, 1.5)
     assert np.max(np.abs(comp.principal_at(xi) - gam.principal_at(xi))) < 1e-14
@@ -247,7 +247,7 @@ def test_compose_one_term_leibniz():
     # a = |xi|, b = q(x): a#b = |xi| q + (1/i) sgn(xi) q_x
     qvals = 1.0 + 0.1 * np.sin(GRID.x)
     b = Symbol.from_field(Field(GRID, qvals), name="q")
-    a = Symbol.from_multiplier(GRID, 1.0, np.abs, dfn=np.sign, homogeneous=True, name="|xi|")
+    a = Symbol.from_multiplier(GRID, 1.0, name="|xi|")
     comp = compose(a, b, 1.5)
     xi = np.array([1.0, 2.0, -3.0])
     qx = 0.1 * np.cos(GRID.x)
@@ -269,7 +269,7 @@ def test_symmetrizer_compositions_agree():
 
 
 def test_adjoint_real_multiplier():
-    a = Symbol.from_multiplier(GRID, 1.0, np.abs, dfn=np.sign, homogeneous=True)
+    a = Symbol.from_multiplier(GRID, 1.0)
     astar = adjoint_symbol(a, 1.5)
     xi = np.array([1.0, -2.0, 4.0])
     assert np.max(np.abs(astar.total_at(xi) - a.total_at(xi))) < 1e-14

@@ -195,19 +195,15 @@ def test_kato_integral_undersampling_flag():
 def test_garding_fit_feasible_at_exact_bound():
     quant = Quantizer(GRID)
 
-    def d_principal(xi):
-        xi = np.atleast_1d(xi)
-        w = np.hypot(1.0, GRID.x) ** (-1.0 - 2 * DELTA)
-        return w[:, None] * np.abs(xi)[None, :] ** 0.5
-
-    d_sym = Symbol(GRID, 0.5, d_principal, homogeneous=True, name="d")
+    weight = np.hypot(1.0, GRID.x) ** (-1.0 - 2 * DELTA)
+    d_sym = Symbol(GRID, 0.5, weight[:, None], name="d")
     samples = [power_law_field(GRID, 2.5, s) for s in range(4)]
     samples += [gaussian_packet(GRID, 2.0, 10 + s, 1.0) for s in range(4)]
     rep = garding_fit(d_sym, DELTA, samples, quant)
     assert rep["a"] > 0
     assert rep["A"] >= 0
 
-    doubled = Symbol(GRID, 0.5, lambda z: 2.0 * d_principal(z), homogeneous=True, name="2d")
+    doubled = Symbol(GRID, 0.5, 2.0 * weight[:, None], name="2d")
     rep2 = garding_fit(doubled, DELTA, samples, quant)
     assert rep2["a"] >= rep["a"]
 
@@ -215,12 +211,8 @@ def test_garding_fit_feasible_at_exact_bound():
 def test_garding_low_frequency_sample_feasible_via_lower_order_term():
     quant = Quantizer(GRID)
 
-    def d_principal(xi):
-        xi = np.atleast_1d(xi)
-        w = np.hypot(1.0, GRID.x) ** (-1.0 - 2 * DELTA)
-        return w[:, None] * np.abs(xi)[None, :] ** 0.5
-
-    d_sym = Symbol(GRID, 0.5, d_principal, homogeneous=True, name="d")
+    weight = np.hypot(1.0, GRID.x) ** (-1.0 - 2 * DELTA)
+    d_sym = Symbol(GRID, 0.5, weight[:, None], name="d")
     low = Field.from_spectrum(
         GRID, np.where(np.abs(GRID.xi) <= 0.5, 1.0, 0.0).astype(complex))
     assert quant.quantize(d_sym, low).max_abs() == 0.0
@@ -231,8 +223,7 @@ def test_garding_low_frequency_sample_feasible_via_lower_order_term():
 
 def test_garding_rejects_symbol_below_bound():
     quant = Quantizer(GRID)
-    bad = Symbol(GRID, 0.5, lambda z: -np.ones((GRID.n, np.atleast_1d(z).size)),
-                 homogeneous=False, name="bad")
+    bad = Symbol(GRID, 0.5, -np.ones(2), name="bad")
     with pytest.raises(ValueError):
         garding_fit(bad, DELTA, [power_law_field(GRID, 2.5, 0)], quant)
 

@@ -1,0 +1,120 @@
+"""Trace-built symbols against the frozen values of the closure constructors.
+
+``symbol_oracle.npz`` holds the values that the closure-tree implementation
+of every symbol constructor produced before the trace representation
+(commit 5b651ac), for two fixed eta on n = 64 grids: the x-traces at
+xi = +-1 and the total symbol at xi in {2, -2, 5, -6.5}; for the mollifier,
+its parts at xi in {1, -1, 2, -2, 5, -6.5}.  Principal parts must agree
+within 1e-13 relative, sub-principal parts and totals within 1e-12 of the
+principal part's size.  A flow derivative is a centered difference with
+step TAU, which carries the differenced symbol's rounding times 1/(2 TAU):
+its parts are held to 1e-12 of that symbol's principal size over 2 TAU.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from capwave.dno import Geometry
+from capwave.evolution import _symbol_time_derivative
+from capwave.field import Field, Grid
+from capwave.paradiff import adjoint_symbol, compose
+from capwave.smoothing import build_escape
+from capwave.symbols import (
+    Mollifier,
+    Symbol,
+    curvature_symbol,
+    dn_symbol,
+    elliptic_weight,
+    factorization,
+    mollifier_symbol,
+    parametrix,
+    poisson_bracket,
+    symmetrizer,
+)
+
+ORACLE = np.load(Path(__file__).with_name("symbol_oracle.npz"))
+TAGS = ("a", "b")
+TAU = 1e-5  # the flow-derivative step of _symbol_time_derivative
+DIFFERENCED = {"dt_p": "p", "dt_q": "q"}
+
+
+def oracle_state(tag):
+    grid = Grid(int(ORACLE[f"{tag}__n"]), float(ORACLE[f"{tag}__length"]))
+    return Field(grid, ORACLE[f"{tag}__eta"]), Field(grid, ORACLE[f"{tag}__eta_t"])
+
+
+def constructors(eta, eta_t):
+    grid = eta.grid
+    lam = dn_symbol(eta)
+    h = curvature_symbol(eta)
+    p, q, gam = symmetrizer(eta)
+    a_s, A_s = factorization(eta, Geometry("parallel_strip", 1.0))
+    bw = elliptic_weight(eta, 2.6)
+    esc = build_escape(0.1, 0.05, grid)
+    hl = compose(h, lam, 1.0)
+    return {
+        "dn": lam, "curvature": h, "p": p, "q": q, "gamma": gam,
+        "parametrix": parametrix(eta, p), "factor_a": a_s, "factor_A": A_s,
+        "weight": bw, "from_field": Symbol.from_field(eta),
+        "from_multiplier": Symbol.from_multiplier(grid, 1.5),
+        "escape": esc.symbol(),
+        "doi_bracket": esc.doi_bracket(eta),
+        "h_lam": hl,
+        "dt_p": _symbol_time_derivative(lambda e: symmetrizer(e)[0], eta, eta_t, TAU),
+        "dt_q": _symbol_time_derivative(lambda e: symmetrizer(e)[1], eta, eta_t, TAU),
+        "compose_p_dn": compose(p, lam, 1.5), "compose_q_curvature": compose(q, h, 1.5),
+        "compose_gamma_gamma": compose(gam, gam, 1.5),
+        "compose_p_dn_principal": compose(p, lam, 1.0),
+        "adjoint_gamma": adjoint_symbol(gam, 1.5),
+        "adjoint_p_principal": adjoint_symbol(p, 1.0),
+        "bracket_curvature_dn": poisson_bracket(h, lam),
+        "bracket_hlam_q": poisson_bracket(hl, q),
+    }
+
+
+def rel(got, ref, scale):
+    return float(np.max(np.abs(got - ref)) / scale)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_constructors_match_frozen_oracle(tag):
+    eta, eta_t = oracle_state(tag)
+    xi = ORACLE["xi"]
+    syms = constructors(eta, eta_t)
+    stored = {k.split("__")[1] for k in ORACLE.files if k.startswith(f"{tag}__")
+              and k.endswith("__order")}
+    assert stored == set(syms)
+    for name, sym in syms.items():
+        key = f"{tag}__{name}"
+        assert sym.order == float(ORACLE[key + "__order"]), name
+        ref = ORACLE[key + "__principal"]
+        assert rel(sym.principal, ref, np.max(np.abs(ref))) <= 1e-13, name
+        if name in DIFFERENCED:
+            scale = np.max(np.abs(syms[DIFFERENCED[name]].principal)) / (2.0 * TAU)
+            total_scale = scale * np.max(np.abs(xi)) ** sym.order
+        else:
+            scale = np.max(np.abs(ref))
+            total_scale = np.max(np.abs(sym.principal_at(xi)))
+        assert (sym.subprincipal is None) == (key + "__sub" not in ORACLE.files), name
+        if sym.subprincipal is not None:
+            assert rel(sym.subprincipal, ORACLE[key + "__sub"], scale) <= 1e-12, name
+        assert rel(sym.total_at(xi), ORACLE[key + "__total"], total_scale) <= 1e-12, name
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("eps", [0.01, 0.1])
+def test_mollifier_matches_frozen_oracle(tag, eps):
+    eta, _ = oracle_state(tag)
+    xi = ORACLE["mollifier_xi"]
+    _, _, gam = symmetrizer(eta)
+    key = f"{tag}__mollifier_{eps:g}"
+    j = mollifier_symbol(eta, eps, gam)
+    assert rel(j.principal_at(xi), ORACLE[key + "__principal"], 1.0) <= 1e-13
+    assert rel(j.dxi_principal(xi), ORACLE[key + "__dxi"],
+               np.max(np.abs(ORACLE[key + "__dxi"]))) <= 1e-13
+    assert rel(j.subprincipal_at(xi), ORACLE[key + "__sub"], 1.0) <= 1e-12
+    assert rel(j.total_at(xi), ORACLE[key + "__total"], 1.0) <= 1e-12
+    jm1 = Mollifier(gam, eps, -1.0)
+    assert rel(jm1.total_at(xi), ORACLE[key + "__minus_one_total"], 1.0) <= 1e-12

@@ -5,6 +5,7 @@ import pytest
 
 from capwave.dno import Geometry
 from capwave.field import Field, Grid, spectral_derivative, x_derivative
+from capwave.paradiff import compose
 from capwave.symbols import (
     Symbol,
     curvature_symbol,
@@ -12,7 +13,6 @@ from capwave.symbols import (
     elliptic_weight,
     factorization,
     mollifier_symbol,
-    numeric_dxi,
     parametrix,
     poisson_bracket,
     seminorm,
@@ -23,18 +23,6 @@ GRID = Grid(128, 2 * np.pi)
 ETA = Field(GRID, 0.1 * np.cos(GRID.x) + 0.05 * np.cos(2 * GRID.x + 0.7))
 XI = np.array([0.5, 1.0, 2.0, 5.0, 17.0, -1.0, -2.0, -6.5])
 SLOPE = x_derivative(ETA).values.real[:, None]
-
-
-def product_symbol(a, b):
-    return Symbol(
-        a.grid,
-        a.order + b.order,
-        lambda z: a.principal(z) * b.principal(z),
-        dxi_principal=lambda z: a.dxi_principal(z) * b.principal(z)
-        + a.principal(z) * b.dxi_principal(z),
-        homogeneous=True,
-        name=f"{a.name}*{b.name}",
-    )
 
 
 # -- Dirichlet-Neumann symbol -------------------------------------------
@@ -76,9 +64,12 @@ def test_curvature_principal_1d_form():
 
 
 def test_curvature_subprincipal_fd_oracle():
-    # h1 = -(i/2) dx dxi h2, recomputed with finite-difference dxi
+    # h1 = -(i/2) dx dxi h2, recomputed with a centered xi-difference of h2
     h = curvature_symbol(ETA)
-    fd = -0.5j * spectral_derivative(numeric_dxi(h.principal)(XI), GRID.xi, axis=0)
+    step = 1e-3
+    dxi = (h.principal_at(XI * (1.0 + step)) - h.principal_at(XI * (1.0 - step))) \
+        / (2.0 * step * XI)[None, :]
+    fd = -0.5j * spectral_derivative(dxi, GRID.xi, axis=0)
     assert np.max(np.abs(h.subprincipal_at(XI) - fd)) < 1e-8
 
 
@@ -125,7 +116,7 @@ def test_q_transport_equation():
     lam = dn_symbol(ETA)
     h = curvature_symbol(ETA)
     br1 = poisson_bracket(h, lam).principal_at(XI)
-    br2 = poisson_bracket(product_symbol(h, lam), q).principal_at(XI)
+    br2 = poisson_bracket(compose(h, lam, 1.0), q).principal_at(XI)
     residual = 0.5 * br1 * q.principal_at(XI) - br2
     assert np.max(np.abs(residual)) < 1e-8
 
@@ -158,7 +149,7 @@ def test_parametrix_flat_and_composition():
 
 def test_parametrix_rejects_nonelliptic():
     p, _, _ = symmetrizer(ETA)
-    bad = Symbol(GRID, 0.5, lambda z: -p.principal(z), homogeneous=True, name="bad")
+    bad = Symbol(GRID, 0.5, -p.principal, name="bad")
     with pytest.raises(ValueError):
         parametrix(ETA, bad)
 
@@ -224,8 +215,7 @@ def test_mollifier_commutes_with_gamma():
     _, _, gam = symmetrizer(ETA)
     for eps in (0.01, 0.1):
         j = mollifier_symbol(ETA, eps)
-        br = poisson_bracket(j, gam).principal_at(XI)
-        assert np.max(np.abs(br)) < 1e-10
+        assert np.max(np.abs(j.bracket_at(gam, XI))) < 1e-10
 
 
 def test_mollifier_principal_in_unit_interval():
@@ -260,35 +250,27 @@ def test_elliptic_weight():
 
 
 def test_seminorm_abs_xi():
-    sym = Symbol.from_multiplier(GRID, 1.0, np.abs, dfn=np.sign, homogeneous=True,
-                                 name="|xi|")
+    sym = Symbol.from_multiplier(GRID, 1.0, name="|xi|")
     assert abs(seminorm(sym, 1.0, 0.0) - 1.0) <= 0.05
 
 
 def test_seminorm_constant():
-    one = Symbol.from_multiplier(GRID, 0.0, lambda z: np.ones_like(z),
-                                 dfn=lambda z: np.zeros_like(z), homogeneous=True, name="1")
+    one = Symbol.from_multiplier(GRID, 0.0, name="1")
     assert abs(seminorm(one, 0.0, 0.0) - 1.0) < 1e-12
 
 
 def test_seminorm_rejects_bad_rho():
-    one = Symbol.from_multiplier(GRID, 0.0, lambda z: np.ones_like(z), homogeneous=True)
+    one = Symbol.from_multiplier(GRID, 0.0)
     with pytest.raises(ValueError):
         seminorm(one, 0.0, 0.7)
 
 
-def test_homogeneity_must_be_stated():
-    # a default of True let the constant -1 at order 0.5 quantize to -2.83
-    # at |xi| = 8; every constructor now has to say which form it has
-    def minus_one(z):
-        return -np.ones((GRID.n, np.atleast_1d(z).size))
-
-    with pytest.raises(TypeError):
-        Symbol(GRID, 0.5, minus_one, name="bad")
-    with pytest.raises(TypeError):
-        Symbol(GRID, 0.5, minus_one, None, None, None, False)
-    with pytest.raises(TypeError):
-        Symbol.from_multiplier(GRID, 0.0, lambda z: np.ones_like(z))
+def test_traces_must_have_two_columns():
+    # a length-n array is not a pair of x-traces and must not be broadcast
+    with pytest.raises(ValueError):
+        Symbol(GRID, 0.5, np.ones(GRID.n), name="bad")
+    with pytest.raises(ValueError):
+        Symbol(GRID, 0.5, np.ones((GRID.n, 2)), np.ones((GRID.n, 3)))
 
 
 def test_poisson_bracket_antisymmetry_and_diagonal():
@@ -313,36 +295,31 @@ def test_homogeneity_battery():
     h = curvature_symbol(ETA)
     p, q, gam = symmetrizer(ETA)
     for sym in (lam, h, p, q, gam):
-        assert sym.homogeneity_defect() < 1e-10, sym.name
+        assert sym.homogeneity_defect(XI) < 1e-10, sym.name
 
 
-def subprincipal_homogeneity_defect(sym, radii=(1.0, 2.0)):
-    """Max defect of degree order - 1 homogeneity of the sub-principal part,
-    relative to the principal part's size (the 1D dn sub-principal part
-    vanishes identically, so its own size is no scale)."""
-    worst = 0.0
-    for r in radii:
-        for sign in (1.0, -1.0):
-            base = sym.subprincipal_at(np.array([sign * r]))
-            double = sym.subprincipal_at(np.array([sign * 2 * r]))
-            scale = np.max(np.abs(sym.principal_at(np.array([sign * 2 * r]))))
-            defect = np.max(np.abs(double - 2.0 ** (sym.order - 1.0) * base)) / scale
-            worst = max(worst, float(defect))
-    return worst
+def subprincipal_euler_defect(sym, xi=XI):
+    """Max defect of Euler's identity xi dxi a_-1 = (m - 1) a_-1 on the
+    sub-principal part, relative to the principal part's size (the 1D dn
+    sub-principal part vanishes identically, so its own size is no scale)."""
+    defect = xi * sym.dxi_subprincipal(xi) - (sym.order - 1.0) * sym.subprincipal_at(xi)
+    return float(np.max(np.abs(defect)) / np.max(np.abs(sym.principal_at(xi))))
 
 
-def test_subprincipal_homogeneity():
+def test_subprincipal_homogeneity(monkeypatch):
     # the quantizer builds each sub-principal part from its xi = +-1 traces
     p, _, gam = symmetrizer(ETA)
     a_s, A_s = factorization(ETA, Geometry("parallel_strip", 1.0))
     syms = (dn_symbol(ETA), curvature_symbol(ETA), p, gam, parametrix(ETA, p), a_s, A_s)
     for sym in syms:
         assert sym.subprincipal is not None, sym.name
-        assert subprincipal_homogeneity_defect(sym) < 1e-12, sym.name
-    # a sub-principal part of the wrong degree is caught
-    wrong = Symbol(GRID, gam.order, gam.principal, subprincipal=gam.principal,
-                   dxi_principal=gam.dxi_principal, homogeneous=True)
-    assert subprincipal_homogeneity_defect(wrong) > 0.1
+        assert subprincipal_euler_defect(sym) < 1e-12, sym.name
+    # a xi-derivative taken with |xi|^(m-1) in place of |xi|^(m-2) is caught
+    wrong_power = Symbol.dxi_subprincipal
+    monkeypatch.setattr(Symbol, "dxi_subprincipal",
+                        lambda self, xi: wrong_power(self, xi) * np.abs(xi))
+    assert subprincipal_euler_defect(gam) > 1e-3
+    assert gam.homogeneity_defect(XI) > 1e-3
 
 
 def test_paraproduct_symbol():
@@ -350,16 +327,4 @@ def test_paraproduct_symbol():
     sym = Symbol.from_field(f, name="cos")
     vals = sym.principal_at(XI)
     assert np.max(np.abs(vals - np.cos(GRID.x)[:, None])) == 0.0
-    assert sym.homogeneity_defect() < 1e-15
-
-
-def test_symbol_json_dump():
-    _, _, gam = symmetrizer(ETA)
-    record = gam.to_json(xi=np.array([1.0, 2.0]))
-    assert record["order"] == 1.5
-    assert len(record["x"]) == GRID.n
-    assert len(record["xi"]) == 2
-    assert len(record["principal"]) == GRID.n
-    assert len(record["principal"][0]) == 2
-    assert len(record["principal"][0][0]) == 2  # [re, im]
-    assert "subprincipal" in record
+    assert sym.homogeneity_defect(XI) < 1e-15
