@@ -232,6 +232,16 @@ def test_mollifier_seminorm_uniformly_bounded():
         assert seminorm(j, 0.0, 0.0) <= 1.0 + 1e-9
 
 
+def test_mollifier_xi_derivatives_match_centered_difference():
+    # the seminorm reads dxi of both parts; the mollifier's are closed form
+    j = mollifier_symbol(ETA, 0.1)
+    step = 1e-4
+    for part, dxi in ((j.principal_at, j.dxi_principal),
+                      (j.subprincipal_at, j.dxi_subprincipal)):
+        fd = (part(XI * (1.0 + step)) - part(XI * (1.0 - step))) / (2.0 * step * XI)[None, :]
+        assert np.max(np.abs(dxi(XI) - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
 def test_elliptic_weight():
     _, _, gam = symmetrizer(ETA)
     s = 2.6
