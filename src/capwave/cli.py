@@ -77,6 +77,9 @@ class RunConfig:
             raise ConfigError("geometry.g and geometry.kappa must be nonnegative")
         if self.profile not in ("cosine", "packet", "zero"):
             raise ConfigError(f"unknown init.profile {self.profile!r}")
+        if self.profile == "cosine" and not 1 <= abs(self.mode) < self.n // 2:
+            raise ConfigError(f"init.mode must satisfy 1 <= |mode| < grid.n/2 = "
+                              f"{self.n // 2} for the cosine profile")
         if self.scheme not in ("rk4", "etdrk4"):
             raise ConfigError(f"unknown evolution.scheme {self.scheme!r}")
         if self.dt <= 0 or self.t_final <= 0:

@@ -37,11 +37,9 @@ from .field import CACHE_MAXSIZE, Field, dealiased_product, sobolev_norm, \
 
 __all__ = [
     "Geometry",
-    "CoordinateMap",
     "StripSolution",
     "GeometryError",
     "SolverError",
-    "coordinate_map",
     "solve_strip",
     "dirichlet_neumann",
     "compute_B_V",
@@ -102,48 +100,6 @@ def chebyshev(nz: int):
     d -= np.diag(d.sum(axis=1))
     # map s in [-1,1] -> z = (s-1)/2 in [-1,0]:  d/dz = 2 d/ds
     return (s - 1.0) / 2.0, 2.0 * d
-
-
-@dataclass
-class CoordinateMap:
-    """Lifting rho(x, z) of the strip onto the fluid layer, with gradients."""
-
-    rho: np.ndarray  # (nz, n)
-    dz_rho: np.ndarray  # (nz, n), positive
-    dx_rho: np.ndarray  # (nz, n)
-    z: np.ndarray
-    eta: Field
-    bottom: np.ndarray  # elevation of the lower boundary
-
-    def validate(self) -> None:
-        if np.min(self.dz_rho) <= 0:
-            raise GeometryError(
-                f"coordinate map degenerate: min dz_rho = {np.min(self.dz_rho):.3e}")
-        surf = np.max(np.abs(self.rho[0] - self.eta.values.real))
-        bot = np.max(np.abs(self.rho[-1] - self.bottom))
-        if surf > 1e-12 or bot > 1e-12:
-            raise GeometryError("coordinate map does not match the boundaries")
-
-
-def coordinate_map(eta: Field, geo: Geometry, nz: int) -> CoordinateMap:
-    """The lifting used by the solver: affine in z for both geometries."""
-    z, _ = chebyshev(nz)
-    ex = eta.values.real
-    zc = z[:, None]
-    if geo.kind == "flat_bottom":
-        rho = (1.0 + zc) * ex[None, :] + zc * geo.depth
-        dz_rho = np.broadcast_to((ex + geo.depth)[None, :], rho.shape).copy()
-        dx_rho = (1.0 + zc) * x_derivative(eta).values.real[None, :]
-        bottom = np.full(eta.grid.n, -geo.depth)
-    else:
-        rho = geo.depth * zc + ex[None, :]
-        dz_rho = np.full(rho.shape, geo.depth)
-        dx_rho = np.broadcast_to(x_derivative(eta).values.real[None, :],
-                                 rho.shape).copy()
-        bottom = ex - geo.depth
-    cmap = CoordinateMap(rho, dz_rho, dx_rho, z, eta, bottom)
-    cmap.validate()
-    return cmap
 
 
 class _StripOperator:
@@ -311,9 +267,6 @@ class StripSolution:
     iterations: int = 0
     precond_depth: float = math.nan
 
-    def coordinates(self) -> CoordinateMap:
-        return coordinate_map(self.eta, self.geo, len(self.z))
-
     def trace_dn(self) -> Field:
         """(1+eta_x^2)/dz_rho * dv/dz - eta_x * dv/dx at z = 0."""
         op = self.operator
@@ -321,13 +274,6 @@ class StripSolution:
         vx0 = spectral_derivative(self.v[0], self.grid.xi)
         g = (1.0 + op.eta_x**2) / op.dz_rho_surface * vz0 - op.eta_x * vx0
         return Field(self.grid, g)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("x,z,v\n")
-            for iz, zz in enumerate(self.z):
-                for jx, xx in enumerate(self.grid.x):
-                    fh.write(f"{xx:.17g},{zz:.17g},{self.v[iz, jx]:.17g}\n")
 
 
 def solve_strip(

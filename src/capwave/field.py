@@ -32,9 +32,10 @@ __all__ = [
     "band_tail_fraction",
 ]
 
-# maxsize of the package's lru caches (the DN preconditioner, the shared
-# quantizer, the ETDRK4 coefficients): every key a simulate run or a single
-# verify suite reuses stays resident
+# maxsize of the package's lru caches (the flat-interface eigensystem of the
+# DN preconditioner, one per nz; the shared quantizer, one per grid; the
+# ETDRK4 coefficients): every key a simulate run or a single verify suite
+# reuses stays resident
 CACHE_MAXSIZE = 16
 
 
@@ -119,16 +120,6 @@ class Field:
             return self
         return Field(self.grid, self.values.real)
 
-    def imag(self) -> "Field":
-        if self.is_real:
-            return Field.zeros(self.grid)
-        return Field(self.grid, self.values.imag)
-
-    def conj(self) -> "Field":
-        if self.is_real:
-            return self
-        return Field(self.grid, np.conj(self.values))
-
     # -- arithmetic (pointwise, no dealiasing; use dealiased_product for
     #    quadratic nonlinearities) --------------------------------------
     def _coerce(self, other):
@@ -163,18 +154,7 @@ class Field:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def mean(self) -> complex | float:
-        m = np.mean(self.values)
-        return float(m.real) if self.is_real else complex(m)
-
     # -- serialization --------------------------------------------------
-    def to_csv(self, path) -> None:
-        vals = np.asarray(self.values, dtype=complex)
-        with open(path, "w") as fh:
-            fh.write("x,re,im\n")
-            for x, v in zip(self.grid.x, vals):
-                fh.write(f"{x:.17g},{v.real:.17g},{v.imag:.17g}\n")
-
     def to_json(self) -> dict:
         spec = np.asarray(self.spectrum, dtype=complex)
         return {

@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 
+# the admissibility cutoff chi_tilde falls from one to zero over [CHI_EPS1, CHI_EPS2]
+CHI_EPS1 = 0.1
+CHI_EPS2 = 0.2
+
+
 class ProbeError(RuntimeError):
     """Probe battery could not produce enough usable data points."""
 
@@ -48,16 +53,12 @@ class Quantizer:
     """Paradifferential quantization on one grid with fixed cutoffs.
 
     chi(theta, eta) = chi_tilde(|theta| / |eta|) with chi_tilde equal to one
-    below eps1 and zero above eps2; psi vanishes for |eta| <= 1 and equals
-    one for |eta| >= 2.
+    below ``CHI_EPS1`` and zero above ``CHI_EPS2``; psi vanishes for
+    |eta| <= 1 and equals one for |eta| >= 2.
     """
 
-    def __init__(self, grid: Grid, eps1: float = 0.1, eps2: float = 0.2):
-        if not 0 < eps1 < eps2:
-            raise ValueError("need 0 < eps1 < eps2")
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.eps1 = eps1
-        self.eps2 = eps2
         n = grid.n
         k = grid.k.astype(np.int64)
         diff = k[:, None] - k[None, :]
@@ -80,7 +81,7 @@ class Quantizer:
 
     def chi_profile(self, r) -> np.ndarray:
         """Admissibility profile as a function of |theta|/|eta|."""
-        return 1.0 - smooth_step((np.asarray(r) - self.eps1) / (self.eps2 - self.eps1))
+        return 1.0 - smooth_step((np.asarray(r) - CHI_EPS1) / (CHI_EPS2 - CHI_EPS1))
 
     def psi_cut(self, eta) -> np.ndarray:
         """Low-frequency cutoff: 0 for |eta| <= 1, 1 for |eta| >= 2."""

@@ -28,7 +28,6 @@ __all__ = [
     "EscapeSymbol",
     "build_escape",
     "bound_check",
-    "scalar_reduce",
     "kato_integral",
     "garding_fit",
     "af_identity_check",
@@ -132,8 +131,7 @@ def build_escape(delta: float, eps_doi: float, grid: Grid) -> EscapeSymbol:
     return EscapeSymbol(delta, eps_doi, grid)
 
 
-def bound_check(eta: Field, esc: EscapeSymbol, xi_samples=None,
-                auto_shrink: bool = True) -> dict:
+def bound_check(eta: Field, esc: EscapeSymbol, xi_samples=None) -> dict:
     """Evaluate the dispersive bracket against its weighted lower bound.
 
     Returns K_measured = min over the (x, xi) sample of
@@ -153,7 +151,7 @@ def bound_check(eta: Field, esc: EscapeSymbol, xi_samples=None,
     current = esc
     while True:
         report = _bracket_report(c, current, xi_samples)
-        if report["K_measured"] > 0 or not auto_shrink or attempts >= 8:
+        if report["K_measured"] > 0 or attempts >= 8:
             report["eps_doi"] = current.eps_doi
             report["delta"] = current.delta
             report["attempts"] = attempts
@@ -197,20 +195,6 @@ def _bracket_report(c: np.ndarray, esc: EscapeSymbol, xi_samples) -> dict:
     }
 
 
-def scalar_reduce(state: WaveState) -> dict:
-    """Complex scalar reduction Phi = Phi1 + i Phi2 and its residual."""
-    res = symmetrized_residuals(state)
-    _, _, gam = state.symmetrizer_symbols
-    return {
-        "phi": res["phi"],
-        "gamma": gam,
-        "v": state.v_field,
-        "f": res["f"],
-        "phi1": res["phi1"],
-        "phi2": res["phi2"],
-    }
-
-
 def kato_integral(traj, s: float, delta: float, omega_cutoff: float | None = None) -> float:
     """Trapezoidal time integral of the weighted smoothing integrand.
 
@@ -246,20 +230,18 @@ def unweighted_integral(traj, s: float) -> float:
     return float(np.trapezoid(w, t))
 
 
-def garding_fit(d_symbol: Symbol, delta: float, samples, quantizer: Quantizer,
-                lower_bound_check: bool = True) -> dict:
+def garding_fit(d_symbol: Symbol, delta: float, samples, quantizer: Quantizer) -> dict:
     """Fit the sharp constants in <T_d u, u> >= a ||<x>^(-1/2-delta) u||_{H^1/4}^2 - A ||u||^2.
 
     Over the sample family the largest feasible ``a`` is computed subject to
     a capped lower-order constant, then the smallest ``A`` realizing it.
     """
-    if lower_bound_check:
-        xi = np.array([1.0, 2.0, 4.0, -1.0, -2.0])
-        vals = d_symbol.total_at(xi).real
-        bound = (np.hypot(1.0, quantizer.grid.x) ** (-1.0 - 2.0 * delta))[:, None] \
-            * (np.abs(xi) ** 0.5)[None, :]
-        if np.min(vals / bound) <= 0:
-            raise ValueError("d does not satisfy the weighted lower bound")
+    xi = np.array([1.0, 2.0, 4.0, -1.0, -2.0])
+    vals = d_symbol.total_at(xi).real
+    bound = (np.hypot(1.0, quantizer.grid.x) ** (-1.0 - 2.0 * delta))[:, None] \
+        * (np.abs(xi) ** 0.5)[None, :]
+    if np.min(vals / bound) <= 0:
+        raise ValueError("d does not satisfy the weighted lower bound")
     op = quantizer.operator(d_symbol)
     q_vals, w_vals, n_vals = [], [], []
     for u in samples:
@@ -295,11 +277,11 @@ def af_identity_check(states: list[WaveState], esc: EscapeSymbol) -> dict:
     times, pairing, rhs_terms, coercive = [], [], [], []
     phi_norms, f_norms = [], []
     for st in states:
-        red = scalar_reduce(st)
-        phi, f_res = red["phi"], red["f"]
-        gam = red["gamma"]
-        t_g = quant.operator(gam)
-        t_v = quant.operator(Symbol.from_field(st.v_field, name="V"))
+        # the complex scalar reduction Phi = Phi1 + i Phi2 and its residual
+        res = symmetrized_residuals(st)
+        phi, f_res = res["phi"], res["f"]
+        t_g = quant.operator(st.symmetrizer_symbols[2])
+        t_v = st.t_v
         c_op_phi = (t_g(t_a(phi)) - t_a(t_g(phi))) * 1j
         term_c = l2_inner(c_op_phi, phi).real
         adj_defect = l2_inner((t_g.adjoint()(t_a(phi)) - t_g(t_a(phi))) * 1j, phi).real

@@ -246,18 +246,21 @@ def curvature_symbol(eta: Field) -> Symbol:
     return Symbol(grid, 2.0, h2, h1, name="curvature")
 
 
-def symmetrizer(eta: Field) -> tuple[Symbol, Symbol, Symbol]:
+def symmetrizer(eta: Field, lam: Symbol | None = None,
+                curv: Symbol | None = None) -> tuple[Symbol, Symbol, Symbol]:
     """Symbols (p, q, gamma) conjugating the linearized system to skew form.
 
     gamma^(3/2) = sqrt(h^(2) lambda^(1)) and Im gamma^(1/2) is fixed by the
     self-adjointness constraint.  The zeroth/half-order amplitudes are the
     compatible pair q^(0) = (1+eta_x^2)^(1/4), p^(1/2) = q^(0) c sqrt(lambda),
     the unique xi-independent q making the two conjugation identities hold
-    simultaneously at both retained orders.
+    simultaneously at both retained orders.  ``lam`` and ``curv`` are
+    eta's :func:`dn_symbol` and :func:`curvature_symbol`, built here when
+    not given.
     """
     grid = eta.grid
-    lam = dn_symbol(eta)
-    curv = curvature_symbol(eta)
+    lam = lam if lam is not None else dn_symbol(eta)
+    curv = curv if curv is not None else curvature_symbol(eta)
     e1, _ = _slope_fields(eta)
     c = (1.0 + e1**2) ** -0.75
     q0 = c ** (-1.0 / 3.0)  # = (1 + eta_x^2)^(1/4)

@@ -493,7 +493,7 @@ def monitor_battery(eps_values=(0.0, 0.01, 0.1), t_final=0.5, dt=4e-3) -> list:
     for eps in eps_values:
         st = WaveState(0.0, eta0, psi0, geo, nz=32)
         traj = run(st, dt, n_steps, eps=eps, scheme="etdrk4",
-                   rhs_kind="mollified", s=2.6, delta=0.1, sample_stride=5)
+                   s=2.6, delta=0.1, sample_stride=5)
         rep = monitor(traj)
         rates.append(rep["max_growth_rate"])
         jumps += rep["jump_flags"]

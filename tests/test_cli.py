@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from capwave import evolution
 from capwave.cli import (
     EXIT_ASSERTION,
     EXIT_OK,
@@ -175,3 +176,14 @@ def test_runconfig_validation_direct():
         RunConfig(kind="slanted").validate()
     with pytest.raises(ConfigError):
         RunConfig(delta=0.0).validate()
+
+
+@pytest.mark.parametrize("mode", [0, 32, 60, -32])
+def test_out_of_band_mode_rejected_before_any_step(tmp_path, monkeypatch, mode):
+    steps = []
+    monkeypatch.setattr(evolution, "step", lambda *a, **k: steps.append(a))
+    path = write_config(tmp_path, BASE_CONFIG.replace("init.mode = 2", f"init.mode = {mode}"),
+                        out_dir=tmp_path / "out")
+    assert main(["simulate", str(path)]) == EXIT_VALIDATION
+    assert steps == []
+    assert not (tmp_path / "out" / "summary.json").exists()

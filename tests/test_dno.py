@@ -387,31 +387,3 @@ def test_cancellation_residual_refinement():
     assert r64 <= r32 * 1.05
     v = compute_B_V(eta, psi, dirichlet_neumann(eta, psi, geo, 64))[1]
     assert r64 <= 1e-5 * sobolev_norm(x_derivative(v), 0.0)
-
-
-def test_strip_solution_csv(tmp_path):
-    sol = solve_strip(Field.zeros(GRID), cos_field(GRID, 1), FLAT, 8)
-    path = tmp_path / "strip.csv"
-    sol.to_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "x,z,v"
-    assert len(lines) == 8 * GRID.n + 1
-
-
-def test_coordinate_map_invariants():
-    from capwave.dno import coordinate_map
-    eta = cos_field(GRID, 1, 0.1)
-    for geo in (FLAT, STRIP):
-        cmap = coordinate_map(eta, geo, 16)
-        assert np.min(cmap.dz_rho) > 0
-        assert np.max(np.abs(cmap.rho[0] - eta.values)) < 1e-14
-        if geo.kind == "flat_bottom":
-            assert np.max(np.abs(cmap.rho[-1] + geo.depth)) < 1e-14
-        else:
-            assert np.max(np.abs(cmap.rho[-1] - (eta.values - geo.depth))) < 1e-14
-
-
-def test_coordinate_map_from_solution():
-    sol = solve_strip(Field.zeros(GRID), cos_field(GRID, 1), FLAT, 8)
-    cmap = sol.coordinates()
-    assert cmap.rho.shape == (8, GRID.n)

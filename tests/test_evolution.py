@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capwave import dno, evolution
+from capwave import dno, evolution, symbols
 from capwave.cli import parse_config
 from capwave.dno import Geometry
 from capwave.evolution import (
@@ -24,6 +24,7 @@ from capwave.evolution import (
 )
 from capwave.field import CACHE_MAXSIZE, Field, Grid, sobolev_norm
 from capwave.paradiff import Quantizer, measured_regularity
+from capwave.smoothing import af_identity_check, build_escape
 from capwave.symbols import Symbol
 
 GRID = Grid(64, 2 * np.pi)
@@ -81,11 +82,22 @@ def test_b_and_v_share_one_compute(monkeypatch):
 
 
 def test_mollified_rhs_build_count(monkeypatch):
-    # monitor-eps grid and data: 13 matrix builds per call, and only the
-    # mollifier j_eps - 1 is sampled on the full (x, xi) grid
+    # monitor-eps grid and data: 13 matrix builds per call, only the
+    # mollifier j_eps - 1 is sampled on the full (x, xi) grid, and lambda and
+    # h are built once for the state and once for the mollified state
     cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "monitor-eps.cfg")
-    builds, sampled = [], []
+    builds, sampled, built = [], [], []
     matrix, sample_grid = Quantizer.matrix, Symbol.sample_grid
+
+    def counting(constructor):
+        def build(eta):
+            built.append(constructor.__name__)
+            return constructor(eta)
+        return build
+
+    for constructor in (symbols.dn_symbol, symbols.curvature_symbol):
+        for module in (symbols, evolution):
+            monkeypatch.setattr(module, constructor.__name__, counting(constructor))
 
     def counting_matrix(self, symbol):
         builds.append(symbol.name)
@@ -100,6 +112,7 @@ def test_mollified_rhs_build_count(monkeypatch):
     mollified_rhs(cfg.initial_state(), cfg.epsilon)
     assert len(builds) == 13, builds
     assert sampled == [f"j(eps={cfg.epsilon:g})-1"]
+    assert sorted(built) == ["curvature_symbol"] * 2 + ["dn_symbol"] * 2, built
 
 
 def test_t_b_is_built_once_per_state():
@@ -107,6 +120,38 @@ def test_t_b_is_built_once_per_state():
     assert st.t_b is st.t_b
     ref = st.quantizer.quantize(Symbol.from_field(st.b_field), st.eta)
     assert np.array_equal(st.u_good.values, (st.psi - ref).real().values)
+
+
+def test_t_v_is_built_once_per_state(monkeypatch):
+    states = [WaveState(0.1 * i, mode(GRID, 1, 0.01 + 0.002 * i), mode(GRID, 2, 0.01, 0.4),
+                        GEO, nz=24) for i in range(3)]
+    assert states[0].t_v is states[0].t_v
+    for st in states:
+        symmetrized_residuals(st)
+    built = []
+    matrix = Quantizer.matrix
+
+    def counting_matrix(self, symbol):
+        built.append(symbol.name)
+        return matrix(self, symbol)
+
+    monkeypatch.setattr(Quantizer, "matrix", counting_matrix)
+    af_identity_check(states, build_escape(0.1, 0.05, GRID))
+    assert built and "V" not in built, built
+
+
+@pytest.mark.parametrize("eps, called", [(0.0, "zakharov_rhs"), (0.01, "mollified_rhs")])
+def test_eps_alone_picks_the_right_hand_side(monkeypatch, eps, called):
+    calls = []
+    for name in ("zakharov_rhs", "mollified_rhs"):
+        def counting(*args, _name=name, _rhs=getattr(evolution, name)):
+            calls.append(_name)
+            return _rhs(*args)
+        monkeypatch.setattr(evolution, name, counting)
+    st = WaveState(0.0, mode(GRID, 1, 0.01), mode(GRID, 2, 0.01, 0.4), GEO, nz=24)
+    for scheme in ("rk4", "etdrk4"):
+        step(st, 1e-3, eps=eps, scheme=scheme)
+    assert calls == [called] * 8
 
 
 def test_flat_interface_plug_in():

@@ -254,13 +254,8 @@ def test_band_tail_fraction(grid):
     assert band_tail_fraction(rough) > 0.9
 
 
-def test_csv_and_json_round_trip(tmp_path, grid):
+def test_json_round_trip(grid):
     rng = np.random.default_rng(6)
     u = random_band_limited(grid, rng)
-    path = tmp_path / "field.csv"
-    u.to_csv(path)
-    rows = path.read_text().strip().split("\n")
-    assert rows[0] == "x,re,im"
-    assert len(rows) == grid.n + 1
     v = Field.from_json(u.to_json())
     assert np.max(np.abs(v.values - u.values)) < 1e-13

@@ -136,11 +136,6 @@ def power_law_field(grid, sigma, seed, amplitude=1.0):
     return Field.from_spectrum(grid, amplitude * c)
 
 
-def test_quantizer_validation():
-    with pytest.raises(ValueError):
-        Quantizer(GRID, eps1=0.2, eps2=0.1)
-
-
 def test_cutoff_profiles():
     r = np.array([0.05, 0.1, 0.15, 0.2, 0.5])
     chi = Q.chi_profile(r)

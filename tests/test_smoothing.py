@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from capwave.corpus import gaussian_packet, power_law_field
 from capwave.dno import Geometry
-from capwave.evolution import WaveState, run
+from capwave.evolution import WaveState, run, symmetrized_residuals
 from capwave.field import Field, Grid, sobolev_norm
 from capwave.paradiff import Quantizer
 from capwave.smoothing import (
@@ -19,7 +19,6 @@ from capwave.smoothing import (
     build_escape,
     garding_fit,
     kato_integral,
-    scalar_reduce,
     unweighted_integral,
 )
 from capwave.symbols import Symbol
@@ -144,8 +143,7 @@ def test_bound_check_on_eta_corpus():
 
 def test_scalar_reduce_zero_state():
     st = WaveState(0.0, Field.zeros(GRID), Field.zeros(GRID), GEO, nz=24)
-    red = scalar_reduce(st)
-    assert red["phi"].max_abs() == 0.0
+    assert symmetrized_residuals(st)["phi"].max_abs() == 0.0
 
 
 def test_scalar_reduce_linear_regime():
@@ -153,10 +151,9 @@ def test_scalar_reduce_linear_regime():
     grid = Grid(64, 2 * np.pi)
     st = WaveState(0.0, Field(grid, 1e-5 * np.cos(2 * grid.x)),
                    Field(grid, 1e-5 * np.sin(3 * grid.x)), GEO, nz=32)
-    red = scalar_reduce(st)
     quant = st.quantizer
-    phi = red["phi"]
-    lhs = quant.operator(red["gamma"])(phi)
+    phi = symmetrized_residuals(st)["phi"]
+    lhs = quant.operator(st.symmetrizer_symbols[2])(phi)
     psi_c = quant.psi_cut(grid.xi)
     rhs = Field.from_spectrum(grid, np.abs(grid.xi) ** 1.5 * psi_c * phi.spectrum)
     num = sobolev_norm(lhs - rhs, 0.0)
