@@ -73,7 +73,12 @@ class EvolutionAbort(RuntimeError):
 
 
 class WaveState:
-    """Instantaneous (eta, psi) with lazily cached derived surface fields."""
+    """Instantaneous (eta, psi) with lazily cached derived quantities.
+
+    Everything the right-hand sides derive from the state alone (G(eta)psi,
+    B and V, the symbols lambda, h, p, q and gamma, the paraproducts T_B and
+    T_V) is built here once, on first use.
+    """
 
     def __init__(self, t: float, eta: Field, psi: Field, geo: Geometry,
                  nz: int = 32, tail_tol: float = 1e-6, check: bool = True):

@@ -143,11 +143,17 @@ def test_t_v_is_built_once_per_state(monkeypatch):
 @pytest.mark.parametrize("eps, called", [(0.0, "zakharov_rhs"), (0.01, "mollified_rhs")])
 def test_eps_alone_picks_the_right_hand_side(monkeypatch, eps, called):
     calls = []
+
+    def counting(name):
+        rhs = getattr(evolution, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return rhs(*args)
+        return wrapped
+
     for name in ("zakharov_rhs", "mollified_rhs"):
-        def counting(*args, _name=name, _rhs=getattr(evolution, name)):
-            calls.append(_name)
-            return _rhs(*args)
-        monkeypatch.setattr(evolution, name, counting)
+        monkeypatch.setattr(evolution, name, counting(name))
     st = WaveState(0.0, mode(GRID, 1, 0.01), mode(GRID, 2, 0.01, 0.4), GEO, nz=24)
     for scheme in ("rk4", "etdrk4"):
         step(st, 1e-3, eps=eps, scheme=scheme)
