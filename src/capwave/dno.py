@@ -16,12 +16,12 @@ The solver is matrix-free GMRES with iterative refinement, left-
 preconditioned by M = P_h^-1 S: P_h^-1 inverts the flat-interface operator at
 the layer's harmonic-mean depth h through one cached diagonalization per nz,
 and S scales the interior rows by the local depth over h.  Every refinement
-cycle aims at tol ||M b||, and refinement stops early once a cycle
+cycle aims at _TOL ||M b||, and refinement stops early once a cycle
 stagnates.  A dense assembly of the same discrete operator is kept as an
 oracle path.
-The GMRES kernel works in real arithmetic (real FFTs, classical Gram-Schmidt
-with one reorthogonalization pass); a complex psi is solved through
-real-linearity, G(Re psi) + i G(Im psi).
+psi must be real, as every surface trace of the reduction is.  The GMRES
+kernel works in real arithmetic (real FFTs, classical Gram-Schmidt with one
+reorthogonalization pass).
 """
 
 from __future__ import annotations
@@ -47,6 +47,16 @@ __all__ = [
     "cancellation_residual",
     "flat_dn_multiplier",
 ]
+
+
+# GMRES aims at _TOL ||M b||; solve_strip rejects ||M r|| / ||M b|| above
+# _ACCEPTED_RESIDUAL; one GMRES cycle takes at most _MAXITER iterations
+_TOL = 1e-12
+_ACCEPTED_RESIDUAL = 1e-10
+_MAXITER = 150
+# a refinement cycle that cuts the residual by less than this has stagnated
+_STALL_FACTOR = 2.0
+_MAX_CYCLES = 3
 
 
 class GeometryError(ValueError):
@@ -145,8 +155,6 @@ class _StripOperator:
 
     # -- operator application (interior rows + BC rows substituted) ------
     def apply(self, v: np.ndarray) -> np.ndarray:
-        if np.iscomplexobj(v):
-            return self.apply(v.real) + 1j * self.apply(v.imag)
         n = self.grid.n
         vz = self.Dz @ v
         vzz = self.Dz2 @ v
@@ -163,7 +171,7 @@ class _StripOperator:
         return out
 
     def rhs(self, psi: Field) -> np.ndarray:
-        b = np.zeros((self.nz, self.grid.n), dtype=psi.values.dtype)
+        b = np.zeros((self.nz, self.grid.n))
         b[0, :] = psi.values
         return b
 
@@ -233,8 +241,6 @@ class _Preconditioner:
         self.row_scale = d * h  # S, then the h^2 of the interior rows
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
-        if np.iscomplexobj(w):
-            return self(w.real) + 1j * self(w.imag)
         w = w.copy()
         w[1:-1] *= self.row_scale
         # the z-matrices act on the interleaved real and imaginary parts
@@ -255,12 +261,7 @@ class StripSolution:
     oracle path).
     """
 
-    v: np.ndarray  # (nz, n), v[0] is the surface row z = 0
-    z: np.ndarray
-    grid: "object"
-    geo: Geometry
-    eta: Field
-    psi: Field
+    v: np.ndarray  # (nz, n), v[0] is the surface row z = 0; z is operator.z
     residual: float
     operator: _StripOperator
     residual_history: tuple = ()
@@ -271,25 +272,18 @@ class StripSolution:
         """(1+eta_x^2)/dz_rho * dv/dz - eta_x * dv/dx at z = 0."""
         op = self.operator
         vz0 = op.Dz[0] @ self.v
-        vx0 = spectral_derivative(self.v[0], self.grid.xi)
+        vx0 = spectral_derivative(self.v[0], op.grid.xi)
         g = (1.0 + op.eta_x**2) / op.dz_rho_surface * vz0 - op.eta_x * vx0
-        return Field(self.grid, g)
+        return Field(op.grid, g)
 
 
-def solve_strip(
-    eta: Field,
-    psi: Field,
-    geo: Geometry,
-    nz: int,
-    tol: float = 1e-12,
-    method: str = "gmres",
-    maxiter: int = 150,
-) -> StripSolution:
+def solve_strip(eta: Field, psi: Field, geo: Geometry, nz: int,
+                method: str = "gmres") -> StripSolution:
     """Solve the flattened strip problem for the potential v with v|_{z=0}=psi."""
     if eta.grid != psi.grid:
         raise ValueError("eta and psi must live on the same grid")
-    if nz < 8:
-        raise ValueError("nz must be at least 8")
+    if np.iscomplexobj(psi.values):
+        raise ValueError("psi must be real")
     op = _StripOperator(eta, geo, nz)
     precond = _Preconditioner(op)
     b = op.rhs(psi)
@@ -302,12 +296,12 @@ def solve_strip(
         r = (A @ v.ravel()).reshape(v.shape) - b
         res = np.linalg.norm(precond(r)) / np.linalg.norm(precond(b))
     elif method == "gmres":
-        v, history, iterations = _gmres_solve(op, precond, b, tol, maxiter)
+        v, history, iterations = _gmres_solve(op, precond, b)
         res = history[-1]
     else:
         raise ValueError(f"unknown solve method {method!r}")
 
-    if res > _accepted_residual(tol):
+    if res > _ACCEPTED_RESIDUAL:
         cycles = (f"{iterations} GMRES iterations, cycle residuals "
                   + ", ".join(f"{h:.3e}" for h in history) if history
                   else "direct solve, no GMRES cycles")
@@ -316,33 +310,19 @@ def solve_strip(
             f"preconditioner depth {precond.depth:.6g}, {cycles})",
             residual=res, residual_history=history, iterations=iterations,
         )
-    return StripSolution(v, op.z, eta.grid, geo, eta, psi, res, op, history, iterations,
-                         precond.depth)
+    return StripSolution(v, res, op, history, iterations, precond.depth)
 
 
-def _accepted_residual(tol: float) -> float:
-    """Largest ||M r|| / ||M b|| that ``solve_strip`` accepts for ``tol``."""
-    return max(tol * 100, 1e-10)
-
-
-# a refinement cycle that cuts the residual by less than this has stagnated
-_STALL_FACTOR = 2.0
-_MAX_CYCLES = 3
-
-
-def _gmres_solve(op: _StripOperator, precond, b: np.ndarray, tol: float, maxiter: int):
+def _gmres_solve(op: _StripOperator, precond, b: np.ndarray):
     """GMRES with iterative refinement, left-preconditioned by ``precond``.
 
-    A complex ``b`` is solved by real-linearity: its real and imaginary parts
-    are separate real solves, run cycle by cycle side by side.  Every cycle
-    of a part aims at the solve's own target ||M r|| <= 0.2 tol ||M b||.
-    Refinement stops when every part meets tol ||M b||, or early when a
-    cycle cuts the residual by less than ``_STALL_FACTOR`` while it is still
-    above the accepted residual.
+    Every cycle aims at the solve's own target ||M r|| <= 0.2 _TOL ||M b||.
+    Refinement stops when ||M r|| <= _TOL ||M b||, or early when a cycle
+    cuts the residual by less than ``_STALL_FACTOR`` while it is still above
+    the accepted residual.
 
-    Returns the solution, ||M r|| / ||M b|| over all parts after each cycle
-    (a part that stopped early keeps its last residual) and the total GMRES
-    iterations.
+    Returns the solution, ||M r|| / ||M b|| after each cycle and the total
+    GMRES iterations.
     """
     shape = b.shape
 
@@ -352,45 +332,40 @@ def _gmres_solve(op: _StripOperator, precond, b: np.ndarray, tol: float, maxiter
     def apply_m(w):
         return precond(w.reshape(shape)).ravel()
 
-    parts = [p.ravel() for p in ((b.real, b.imag) if np.iscomplexobj(b) else (b,))]
-    zs = [apply_m(p) for p in parts]  # M r for the zero initial guess
-    mb = [float(np.linalg.norm(z)) for z in zs]
-    mr = list(mb)
-    mb_all = np.hypot.reduce(mb)
-    vs = [np.zeros(p.size) for p in parts]
+    b = b.ravel()
+    z = apply_m(b)  # M r for the zero initial guess
+    mb = float(np.linalg.norm(z))
+    v = np.zeros(b.size)
     history, iterations = [], 0
     for _ in range(_MAX_CYCLES):
-        for i, part in enumerate(parts):
-            if mr[i] <= tol * mb[i]:
-                continue  # converged, or a zero part
-            dv, its = _pgmres(apply_a, apply_m, zs[i], 0.2 * tol * mb[i], maxiter)
-            vs[i] += dv
-            iterations += its
-            zs[i] = apply_m(part - apply_a(vs[i]))
-            mr[i] = float(np.linalg.norm(zs[i]))
+        dv, its = _pgmres(apply_a, apply_m, z, 0.2 * _TOL * mb)
+        v += dv
+        iterations += its
+        z = apply_m(b - apply_a(v))
+        mr = float(np.linalg.norm(z))
         before = history[-1] if history else 1.0
-        history.append(float(np.hypot.reduce(mr) / mb_all))
-        if all(r <= tol * m for r, m in zip(mr, mb)):
+        history.append(mr / mb)
+        if mr <= _TOL * mb:
             break
-        if history[-1] > max(_accepted_residual(tol), before / _STALL_FACTOR):
+        if history[-1] > max(_ACCEPTED_RESIDUAL, before / _STALL_FACTOR):
             break  # stagnated: solve_strip rejects it with this history
-    v = vs[0] if len(vs) == 1 else vs[0] + 1j * vs[1]
     return v.reshape(shape), tuple(history), iterations
 
 
-def _pgmres(apply_a, apply_m, z0, atol, maxiter):
+def _pgmres(apply_a, apply_m, z0, atol):
     """Left-preconditioned full GMRES with Givens rotations, real arithmetic.
 
     ``z0`` is the preconditioned residual M r of the system to correct; the
     iteration stops once the preconditioned residual is at most ``atol``.
-    Returns the correction and the number of iterations taken.  The Arnoldi
+    Returns the correction and the number of iterations taken, at most
+    ``_MAXITER``.  The Arnoldi
     step orthogonalizes by classical Gram-Schmidt with one full
     reorthogonalization pass (CGS2), as two matrix-vector products per pass.
     """
     beta = np.linalg.norm(z0)
     if beta == 0:
         return np.zeros_like(z0), 0
-    m = min(maxiter, z0.size)
+    m = min(_MAXITER, z0.size)
     basis = np.empty((m + 1, z0.size))
     basis[0] = z0 / beta
     h = np.zeros((m, m))  # upper triangle of the rotated Hessenberg matrix
@@ -435,9 +410,9 @@ def _pgmres(apply_a, apply_m, z0, atol, maxiter):
 
 
 def dirichlet_neumann(eta: Field, psi: Field, geo: Geometry, nz: int,
-                      tol: float = 1e-12, method: str = "gmres") -> Field:
+                      method: str = "gmres") -> Field:
     """G(eta)psi: the scaled normal derivative of the lifted potential."""
-    return solve_strip(eta, psi, geo, nz, tol=tol, method=method).trace_dn()
+    return solve_strip(eta, psi, geo, nz, method=method).trace_dn()
 
 
 def flat_dn_multiplier(geo: Geometry, xi: np.ndarray) -> np.ndarray:
@@ -456,7 +431,7 @@ def compute_B_V(eta: Field, psi: Field, g_psi: Field) -> tuple[Field, Field]:
 
 
 def shape_derivative(eta: Field, psi: Field, h_dir: Field, geo: Geometry,
-                     nz: int, tol: float = 1e-12) -> Field:
+                     nz: int) -> Field:
     """Derivative of eta -> G(eta)psi in the direction h_dir (fixed bottom).
 
     Only meaningful for flat_bottom: for the parallel strip the bottom moves
@@ -464,19 +439,18 @@ def shape_derivative(eta: Field, psi: Field, h_dir: Field, geo: Geometry,
     """
     if geo.kind != "flat_bottom":
         raise GeometryError("shape derivative requires a fixed bottom (flat_bottom)")
-    g_psi = dirichlet_neumann(eta, psi, geo, nz, tol=tol)
+    g_psi = dirichlet_neumann(eta, psi, geo, nz)
     b_field, v_field = compute_B_V(eta, psi, g_psi)
     bh = dealiased_product(b_field, h_dir)
     vh = dealiased_product(v_field, h_dir)
-    return -dirichlet_neumann(eta, bh, geo, nz, tol=tol) - x_derivative(vh)
+    return -dirichlet_neumann(eta, bh, geo, nz) - x_derivative(vh)
 
 
-def cancellation_residual(eta: Field, psi: Field, geo: Geometry, nz: int,
-                          tol: float = 1e-12) -> float:
+def cancellation_residual(eta: Field, psi: Field, geo: Geometry, nz: int) -> float:
     """L^2 size of G(eta)B + d/dx V, which vanishes in the continuum limit."""
     if geo.kind != "flat_bottom":
         raise GeometryError("cancellation identity requires a fixed bottom")
-    g_psi = dirichlet_neumann(eta, psi, geo, nz, tol=tol)
+    g_psi = dirichlet_neumann(eta, psi, geo, nz)
     b_field, v_field = compute_B_V(eta, psi, g_psi)
-    g_b = dirichlet_neumann(eta, b_field, geo, nz, tol=tol)
+    g_b = dirichlet_neumann(eta, b_field, geo, nz)
     return sobolev_norm(g_b + x_derivative(v_field), 0.0)

@@ -249,15 +249,14 @@ def mollified_rhs(state: WaveState, eps: float) -> tuple[Field, Field]:
         return u + t_wp(t_jm1(t_p(u)))
 
     u_good = state.u_good
-    eta_m = j_eps(eta).real()
-    psi_m = j_eps(psi).real()
-    state_m = state.replace(eta=eta_m, psi=psi_m)
+    eta_m, psi_m = j_eps(eta), j_eps(psi)
+    state_m = state.replace(eta=eta_m, psi=psi_m)  # keeps their real parts
     f1_m, f2_m = paralinear_residuals(state_m)
 
     sq_u = t_lam(s_q(u_good))
-    eta_t = -t_v(x_derivative(j_eps(eta))) + sq_u + f1_m
+    eta_t = -t_v(x_derivative(eta_m)) + sq_u + f1_m
     psi_t = (
-        -t_v(x_derivative(j_eps(psi)))
+        -t_v(x_derivative(psi_m))
         + t_b(sq_u)
         - geo.kappa * t_h(s_p(eta))
         + t_b(f1_m)
@@ -537,7 +536,8 @@ def run(state: WaveState, dt: float, n_steps: int, eps: float = 0.0,
     running = 0.0
     rec, running = _record(state, s, delta, running)
     traj.records.append(rec)
-    traj.states.append(state)
+    # stored states keep only t, eta and psi, not the right-hand side's caches
+    traj.states.append(state.replace())
     for i in range(1, n_steps + 1):
         try:
             state = step(state, dt, eps=eps, scheme=scheme)
@@ -548,9 +548,9 @@ def run(state: WaveState, dt: float, n_steps: int, eps: float = 0.0,
             rec, running = _record(state, s, delta, running)
             traj.records.append(rec)
         if state_stride and (i % state_stride == 0 or i == n_steps):
-            traj.states.append(state)
+            traj.states.append(state.replace())
     if not state_stride:
-        traj.states.append(state)
+        traj.states.append(state.replace())
     return traj
 
 
@@ -604,15 +604,22 @@ def time_derivatives(state: WaveState) -> dict:
             "b_t": b_t, "v_t": v_t}
 
 
-def _symbol_time_derivative(build, eta: Field, eta_t: Field, tau: float = 1e-5):
-    """Centered difference of a symbol construction along the flow direction."""
-    sym_p = build(eta + eta_t * tau)
-    sym_m = build(eta + eta_t * (-tau))
-    sub = None
-    if sym_p.subprincipal is not None:
-        sub = (sym_p.subprincipal - sym_m.subprincipal) / (2.0 * tau)
-    return Symbol(eta.grid, sym_p.order, (sym_p.principal - sym_m.principal) / (2.0 * tau),
-                  sub, name=f"dt[{sym_p.name}]")
+def _symbol_time_derivative(eta: Field, eta_t: Field, tau: float = 1e-5):
+    """Centered differences of the symmetrizer's p and q along the flow direction.
+
+    One :func:`symmetrizer` call on each side serves both symbols.
+    """
+    plus = symmetrizer(eta + eta_t * tau)[:2]
+    minus = symmetrizer(eta + eta_t * (-tau))[:2]
+    out = []
+    for sym_p, sym_m in zip(plus, minus):
+        sub = None
+        if sym_p.subprincipal is not None:
+            sub = (sym_p.subprincipal - sym_m.subprincipal) / (2.0 * tau)
+        out.append(Symbol(eta.grid, sym_p.order,
+                          (sym_p.principal - sym_m.principal) / (2.0 * tau),
+                          sub, name=f"dt[{sym_p.name}]"))
+    return tuple(out)
 
 
 def symmetrized_residuals(state: WaveState) -> dict:
@@ -624,8 +631,7 @@ def symmetrized_residuals(state: WaveState) -> dict:
     quant = state.quantizer
     der = time_derivatives(state)
     p, q, gam = state.symmetrizer_symbols
-    dt_p = _symbol_time_derivative(lambda e: symmetrizer(e)[0], state.eta, der["eta_t"])
-    dt_q = _symbol_time_derivative(lambda e: symmetrizer(e)[1], state.eta, der["eta_t"])
+    dt_p, dt_q = _symbol_time_derivative(state.eta, der["eta_t"])
 
     u_t = (der["psi_t"]
            - state.t_b(der["eta_t"])

@@ -131,7 +131,7 @@ def build_escape(delta: float, eps_doi: float, grid: Grid) -> EscapeSymbol:
     return EscapeSymbol(delta, eps_doi, grid)
 
 
-def bound_check(eta: Field, esc: EscapeSymbol, xi_samples=None) -> dict:
+def bound_check(eta: Field, esc: EscapeSymbol) -> dict:
     """Evaluate the dispersive bracket against its weighted lower bound.
 
     Returns K_measured = min over the (x, xi) sample of
@@ -139,10 +139,8 @@ def bound_check(eta: Field, esc: EscapeSymbol, xi_samples=None) -> dict:
     term-by-term decomposition checks.  If the minimum is nonpositive the
     partition parameter is halved and the check repeated.
     """
-    if xi_samples is None:
-        xi_samples = np.concatenate([
-            np.geomspace(0.5, max(2.0, esc.grid.xi_max), 50),
-            -np.geomspace(0.5, max(2.0, esc.grid.xi_max), 50)])
+    mags = np.geomspace(0.5, max(2.0, esc.grid.xi_max), 50)
+    xi_samples = np.concatenate([mags, -mags])
     ex = x_derivative(eta).values.real
     c = (1.0 + ex**2) ** -0.75
     grid = esc.grid

@@ -124,10 +124,9 @@ class Symbol:
                    - (self.order - 1.0) * self.subprincipal_at(xi)))
         return float(np.max(defect) / np.max(np.abs(principal)))
 
-    def reality_defect(self, xi_samples=None) -> float:
+    def reality_defect(self) -> float:
         """Max |conj a(x, xi) - a(x, -xi)| over samples (real-to-real test)."""
-        if xi_samples is None:
-            xi_samples = np.array([0.5, 1.0, 2.0, 5.0])
+        xi_samples = np.array([0.5, 1.0, 2.0, 5.0])
         a_pos = self.total_at(xi_samples)
         a_neg = self.total_at(-xi_samples)
         scale = max(np.max(np.abs(a_pos)), 1e-300)
@@ -343,17 +342,15 @@ def poisson_bracket(f: Symbol, g: Symbol) -> Symbol:
     return Symbol(grid, f.order + g.order - 1.0, traces, name=f"{{{f.name},{g.name}}}")
 
 
-def seminorm(a: Symbol, m: float, rho: float, xi_samples: int = 48) -> float:
+def seminorm(a: Symbol, m: float) -> float:
     """Discrete symbol seminorm M^m_0: sup over x and |xi| >= 1/2 of
     (1 + |xi|)^(alpha - m) |dxi^alpha a| for alpha = 0, 1, on the total
-    symbol.  Only rho = 0 is sampled.
+    symbol, at 48 geometric |xi| samples of each sign.
     """
-    if rho != 0.0:
-        raise ValueError("only rho = 0 is sampled")
     ximax = a.grid.xi_max
-    if ximax < 2.0 or xi_samples < 8:
+    if ximax < 2.0:
         raise SamplingError("too few xi samples above |xi| = 1/2")
-    mags = np.geomspace(0.5, ximax, xi_samples)
+    mags = np.geomspace(0.5, ximax, 48)
     xi = np.concatenate([mags, -mags, [1.0, 2.0, -1.0, -2.0]])
     parts = (a.total_at(xi), a.dxi_principal(xi) + a.dxi_subprincipal(xi))
     return float(max(np.max((1.0 + np.abs(xi)) ** (alpha - m) * np.abs(vals))

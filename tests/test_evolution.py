@@ -140,6 +140,31 @@ def test_t_v_is_built_once_per_state(monkeypatch):
     assert built and "V" not in built, built
 
 
+def test_symmetrized_residuals_build_three_symmetrizers(monkeypatch):
+    # one for the state, cached, and one on each side of the flow difference
+    # that serves both p and q
+    calls = []
+    build = evolution.symmetrizer
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(evolution, "symmetrizer", counting)
+    st = WaveState(0.0, mode(GRID, 1, 0.01), mode(GRID, 2, 0.01, 0.4), GEO, nz=24)
+    symmetrized_residuals(st)
+    assert len(calls) == 3
+
+
+def test_stored_states_keep_no_right_hand_side_caches():
+    st = WaveState(0.0, mode(GRID, 1, 0.01), mode(GRID, 2, 0.01, 0.4), GEO, nz=24)
+    traj = run(st, 1e-3, 4, eps=0.01, state_stride=1)
+    assert len(traj.states) == 5
+    cached = ("t_b", "t_v", "g_psi", "lam", "symmetrizer_symbols")
+    for stored in traj.states:
+        assert not set(cached) & set(vars(stored)), sorted(vars(stored))
+
+
 @pytest.mark.parametrize("eps, called", [(0.0, "zakharov_rhs"), (0.01, "mollified_rhs")])
 def test_eps_alone_picks_the_right_hand_side(monkeypatch, eps, called):
     calls = []

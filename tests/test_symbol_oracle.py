@@ -54,6 +54,7 @@ def constructors(eta, eta_t):
     bw = elliptic_weight(eta, 2.6)
     esc = build_escape(0.1, 0.05, grid)
     hl = compose(h, lam, 1.0)
+    dt_p, dt_q = _symbol_time_derivative(eta, eta_t, TAU)
     return {
         "dn": lam, "curvature": h, "p": p, "q": q, "gamma": gam,
         "parametrix": parametrix(eta, p), "factor_a": a_s, "factor_A": A_s,
@@ -62,8 +63,7 @@ def constructors(eta, eta_t):
         "escape": esc.symbol(),
         "doi_bracket": esc.doi_bracket(eta),
         "h_lam": hl,
-        "dt_p": _symbol_time_derivative(lambda e: symmetrizer(e)[0], eta, eta_t, TAU),
-        "dt_q": _symbol_time_derivative(lambda e: symmetrizer(e)[1], eta, eta_t, TAU),
+        "dt_p": dt_p, "dt_q": dt_q,
         "compose_p_dn": compose(p, lam, 1.5), "compose_q_curvature": compose(q, h, 1.5),
         "compose_gamma_gamma": compose(gam, gam, 1.5),
         "compose_p_dn_principal": compose(p, lam, 1.0),

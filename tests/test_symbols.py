@@ -229,7 +229,7 @@ def test_mollifier_seminorm_uniformly_bounded():
     # uniform boundedness in the strengths the evolution actually uses
     for eps in (0.0, 0.01, 0.1):
         j = mollifier_symbol(ETA, eps)
-        assert seminorm(j, 0.0, 0.0) <= 1.0 + 1e-9
+        assert seminorm(j, 0.0) <= 1.0 + 1e-9
 
 
 def test_mollifier_xi_derivatives_match_centered_difference():
@@ -261,18 +261,12 @@ def test_elliptic_weight():
 
 def test_seminorm_abs_xi():
     sym = Symbol.from_multiplier(GRID, 1.0, name="|xi|")
-    assert abs(seminorm(sym, 1.0, 0.0) - 1.0) <= 0.05
+    assert abs(seminorm(sym, 1.0) - 1.0) <= 0.05
 
 
 def test_seminorm_constant():
     one = Symbol.from_multiplier(GRID, 0.0, name="1")
-    assert abs(seminorm(one, 0.0, 0.0) - 1.0) < 1e-12
-
-
-def test_seminorm_rejects_bad_rho():
-    one = Symbol.from_multiplier(GRID, 0.0)
-    with pytest.raises(ValueError):
-        seminorm(one, 0.0, 0.7)
+    assert abs(seminorm(one, 0.0) - 1.0) < 1e-12
 
 
 def test_traces_must_have_two_columns():
