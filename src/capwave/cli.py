@@ -80,7 +80,8 @@ class RunConfig:
         if self.profile == "cosine" and not 1 <= abs(self.mode) < self.n // 2:
             raise ConfigError(f"init.mode must satisfy 1 <= |mode| < grid.n/2 = "
                               f"{self.n // 2} for the cosine profile")
-        if self.scheme not in ("rk4", "etdrk4"):
+        # perfbench still sets the key, so it stays; etdrk4 is the one integrator
+        if self.scheme != "etdrk4":
             raise ConfigError(f"unknown evolution.scheme {self.scheme!r}")
         if self.dt <= 0 or self.t_final <= 0:
             raise ConfigError("evolution.dt and evolution.T must be positive")
@@ -177,7 +178,7 @@ def run_simulate(cfg: RunConfig) -> dict:
     n_steps = int(round(cfg.t_final / cfg.dt))
     t0 = time.time()
     try:
-        traj = run(state, cfg.dt, n_steps, eps=cfg.epsilon, scheme=cfg.scheme,
+        traj = run(state, cfg.dt, n_steps, eps=cfg.epsilon,
                    s=cfg.s, delta=cfg.delta, sample_stride=cfg.sample_stride,
                    state_stride=cfg.snapshot_stride or None)
     except EvolutionAbort as exc:
@@ -222,11 +223,11 @@ def _smoothing_report(cfg: RunConfig, traj) -> dict:
         garding = {"a": fit["a"], "A": fit["A"]}
     except ValueError as exc:
         garding = {"error": str(exc)}
-    kato = kato_integral(traj, cfg.s, cfg.delta)
+    kato = kato_integral(traj)
     sweep = [{"n": cfg.n, "weighted": kato}]
     if len(traj.states) == len(traj.records):
         from .smoothing import unweighted_integral
-        sweep[0]["unweighted"] = unweighted_integral(traj, cfg.s)
+        sweep[0]["unweighted"] = unweighted_integral(traj)
     return {
         "delta": cfg.delta,
         "eps_doi": doi["eps_doi"],

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dno import Geometry
 from .field import Field, Grid
 
 __all__ = ["power_law_field", "gaussian_packet", "state_corpus"]
@@ -46,7 +45,7 @@ def gaussian_packet(grid: Grid, sigma: float, seed: int, amplitude: float,
     return Field(grid, vals - np.mean(vals))
 
 
-def state_corpus(grid: Grid, geo: Geometry, amplitude: float = 0.02):
+def state_corpus(grid: Grid, amplitude: float = 0.02):
     """Ten (eta, psi) pairs spanning the regimes the oracles exercise."""
     x = grid.x
     a = amplitude

@@ -9,9 +9,11 @@ that the eps = 0 system coincides with the raw one identically, not just to
 leading order; for eps > 0 the same uniform commutation identities hold as
 for the plain paradifferential mollifier.
 
-Integrators: classical RK4 and an exponential RK4 whose integrating factor
-is the flat-interface linearization, diagonalized per mode by the canonical
-(eta, psi) -> (w+, w-) transform.
+One integrator, ETDRK4 (Cox & Matthews 2002, with the Kassam & Trefethen 2005
+contour averages), solves the flat-interface linearization exactly.  That
+linearization is tabled once per grid and geometry, diagonalized per mode by
+the canonical (eta, psi) -> (w+, w-) transform; the step, the normal variable
+:func:`diagonalize` and :func:`dispersion_fit` all read the same table.
 """
 
 from __future__ import annotations
@@ -272,7 +274,7 @@ def hamiltonian(state: WaveState) -> tuple[float, float]:
     grid = state.grid
     kinetic = 0.5 * l2_inner(psi, state.g_psi).real
     potential = 0.5 * geo.g * l2_inner(eta, eta).real
-    _, ex_fine = evaluate_refined(x_derivative(eta), 2)
+    _, ex_fine = evaluate_refined(x_derivative(eta))
     capillary = geo.kappa * grid.length * float(
         np.mean(np.sqrt(1.0 + ex_fine**2) - 1.0))
     total = kinetic + potential + capillary
@@ -285,59 +287,17 @@ def hamiltonian(state: WaveState) -> tuple[float, float]:
     return total, quadratic
 
 
-def diagonalize(state: WaveState) -> Field:
-    """Complex normal variable of the flat linearization (depth-corrected).
+class _FlatModes:
+    """The flat-interface linearization per grid mode, built once per (grid, geometry).
 
-    The weights use the finite-depth dispersion factor |xi| tanh(depth |xi|)
-    in place of the infinite-depth |xi|; the xi = 0 mode is dropped.
+    Mode xi rotates at omega = sqrt(|xi| tanh(depth |xi|) (g + kappa xi^2)),
+    diagonalized by the canonical (eta, psi) -> (w+, w-) transform with
+    weights alpha = (stiff / omega_g)^(1/4) and beta = 1 / alpha.  Modes
+    outside ``linear_mask`` (xi = 0, and any mode without stiffness) carry
+    (eta, psi) unchanged.
     """
-    grid = state.grid
-    geo = state.geo
-    omega_g = flat_dn_multiplier(geo, grid.xi)
-    stiff = geo.g + geo.kappa * grid.xi**2
-    safe = np.where(omega_g > 0, omega_g, 1.0)
-    alpha = (stiff / safe) ** 0.25
-    beta = (safe / stiff) ** 0.25
-    a_hat = (alpha * state.eta.spectrum - 1j * beta * state.psi.spectrum) / np.sqrt(2.0)
-    a_hat[omega_g == 0] = 0.0
-    return Field.from_spectrum(grid, a_hat)
 
-
-def dispersion_fit(states: list, mode: int) -> dict:
-    """Frequency of grid mode ``mode`` fitted from sampled states.
-
-    The phase of the mode in the normal variable (:func:`diagonalize`) is
-    fitted linearly in time and compared with the linear dispersion relation
-    omega^2 = (g + kappa xi^2) xi tanh(depth xi).  Fewer than four states
-    give NaN values and a note.
-    """
-    if len(states) < 4:
-        return {"fitted": float("nan"), "predicted": float("nan"),
-                "rel_err": float("nan"), "note": "too few snapshots"}
-    grid, geo = states[0].grid, states[0].geo
-    idx = int(np.where(grid.k == mode)[0][0])
-    xi = grid.xi[idx]
-    omega = float(np.sqrt((geo.g + geo.kappa * xi**2) * xi * np.tanh(xi * geo.depth)))
-    phases = [diagonalize(st).spectrum[idx] for st in states]
-    times = [st.t for st in states]
-    slope = np.polyfit(times, np.unwrap(np.angle(np.array(phases))), 1)[0]
-    fitted = float(abs(slope))
-    return {"fitted": fitted, "predicted": omega,
-            "rel_err": abs(fitted - omega) / omega}
-
-
-# -- integrators ------------------------------------------------------------
-
-_ENVELOPE = {"rk4": 2.8, "etdrk4": 40.0}
-# points on the Kassam-Trefethen contour of the phi-function averages
-_N_CONTOUR = 32
-
-
-class _Etdrk4Coefficients:
-    """Per-mode exponential coefficients for the diagonalized linear flow."""
-
-    def __init__(self, grid: Grid, geo: Geometry, dt: float, eps: float):
-        self.grid = grid
+    def __init__(self, grid: Grid, geo: Geometry):
         omega_g = flat_dn_multiplier(geo, grid.xi)
         # the discrete curvature operator is built from first derivatives and
         # therefore annihilates the Nyquist mode; the linear model must match
@@ -346,19 +306,86 @@ class _Etdrk4Coefficients:
         xi2 = np.where(np.arange(grid.n) == grid.n // 2, 0.0, xi2)
         stiff = geo.g + geo.kappa * xi2
         self.omega = np.sqrt(omega_g * stiff)
-        # mollified flat linearization: rotation slowed by the symbol factor
-        quant = shared_quantizer(grid)
-        psi_c = quant.psi_cut(grid.xi)
-        slow = 1.0 + (np.exp(-eps * np.abs(grid.xi) ** 1.5) - 1.0) * psi_c
-        self.omega_eff = self.omega * slow
         self.linear_mask = (omega_g > 0) & (stiff > 0)
         safe_g = np.where(self.linear_mask, omega_g, 1.0)
         safe_s = np.where(self.linear_mask, stiff, 1.0)
         self.alpha = np.where(self.linear_mask, (safe_s / safe_g) ** 0.25, 1.0)
         self.beta = np.where(self.linear_mask, (safe_g / safe_s) ** 0.25, 1.0)
 
-        lam = np.concatenate([1j * self.omega_eff * self.linear_mask,
-                              -1j * self.omega_eff * self.linear_mask])
+    def to_w(self, eta_c: np.ndarray, psi_c: np.ndarray) -> np.ndarray:
+        wp = np.where(self.linear_mask,
+                      self.alpha * eta_c - 1j * self.beta * psi_c, eta_c)
+        wm = np.where(self.linear_mask,
+                      self.alpha * eta_c + 1j * self.beta * psi_c, psi_c)
+        return np.concatenate([wp, wm])
+
+    def from_w(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        wp, wm = np.split(w, 2)
+        eta_c = np.where(self.linear_mask, (wp + wm) / (2.0 * self.alpha), wp)
+        psi_c = np.where(self.linear_mask, (wm - wp) / (2j * self.beta), wm)
+        return eta_c, psi_c
+
+
+@lru_cache(maxsize=CACHE_MAXSIZE)
+def _flat_modes(grid: Grid, geo: Geometry) -> _FlatModes:
+    return _FlatModes(grid, geo)
+
+
+def diagonalize(state: WaveState) -> Field:
+    """Complex normal variable w+ / sqrt(2) of the flat linearization.
+
+    The weights use the finite-depth dispersion factor |xi| tanh(depth |xi|)
+    in place of the infinite-depth |xi|; modes outside the linear mask
+    (xi = 0 among them) are dropped.
+    """
+    modes = _flat_modes(state.grid, state.geo)
+    wp = modes.to_w(state.eta.spectrum, state.psi.spectrum)[:state.grid.n]
+    return Field.from_spectrum(state.grid,
+                               np.where(modes.linear_mask, wp / np.sqrt(2.0), 0.0))
+
+
+def dispersion_fit(states: list, mode: int) -> dict:
+    """Frequency of grid mode ``mode`` fitted from sampled states.
+
+    The phase of the mode in the normal variable (:func:`diagonalize`) is
+    fitted linearly in time and compared with the flat-mode table's linear
+    dispersion relation omega^2 = (g + kappa xi^2) xi tanh(depth xi).  Fewer
+    than four states give NaN values and a note.
+    """
+    if len(states) < 4:
+        return {"fitted": float("nan"), "predicted": float("nan"),
+                "rel_err": float("nan"), "note": "too few snapshots"}
+    grid = states[0].grid
+    idx = int(np.where(grid.k == mode)[0][0])
+    omega = float(_flat_modes(grid, states[0].geo).omega[idx])
+    phases = [diagonalize(st).spectrum[idx] for st in states]
+    times = [st.t for st in states]
+    slope = np.polyfit(times, np.unwrap(np.angle(np.array(phases))), 1)[0]
+    fitted = float(abs(slope))
+    return {"fitted": fitted, "predicted": omega,
+            "rel_err": abs(fitted - omega) / omega}
+
+
+# -- the ETDRK4 integrator --------------------------------------------------
+
+# largest dt * max omega a step accepts; the linear part is integrated exactly
+_ENVELOPE = 40.0
+# points on the Kassam-Trefethen contour of the phi-function averages
+_N_CONTOUR = 32
+
+
+class _Etdrk4Coefficients:
+    """Per-mode exponential coefficients for the diagonalized linear flow."""
+
+    def __init__(self, grid: Grid, geo: Geometry, dt: float, eps: float):
+        self.modes = modes = _flat_modes(grid, geo)
+        # mollified flat linearization: rotation slowed by the symbol factor
+        psi_c = shared_quantizer(grid).psi_cut(grid.xi)
+        slow = 1.0 + (np.exp(-eps * np.abs(grid.xi) ** 1.5) - 1.0) * psi_c
+        self.omega_eff = modes.omega * slow
+
+        lam = np.concatenate([1j * self.omega_eff * modes.linear_mask,
+                              -1j * self.omega_eff * modes.linear_mask])
         z = dt * lam
         theta = np.pi * (np.arange(_N_CONTOUR) + 0.5) / _N_CONTOUR
         ring = np.exp(1j * theta)
@@ -375,53 +402,26 @@ class _Etdrk4Coefficients:
             (-4.0 - 3.0 * zr - zr**2 + np.exp(zr) * (4.0 - zr)) / zr**3, axis=1)
         self.lam = lam
 
-    def to_w(self, eta_c: np.ndarray, psi_c: np.ndarray) -> np.ndarray:
-        wp = np.where(self.linear_mask,
-                      self.alpha * eta_c - 1j * self.beta * psi_c, eta_c)
-        wm = np.where(self.linear_mask,
-                      self.alpha * eta_c + 1j * self.beta * psi_c, psi_c)
-        return np.concatenate([wp, wm])
-
-    def from_w(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = self.grid.n
-        wp, wm = w[:n], w[n:]
-        eta_c = np.where(self.linear_mask, (wp + wm) / (2.0 * self.alpha), wp)
-        psi_c = np.where(self.linear_mask, (wm - wp) / (2j * self.beta), wm)
-        return eta_c, psi_c
-
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def _etdrk4_coefficients(grid, geo, dt, eps):
     return _Etdrk4Coefficients(grid, geo, dt, eps)
 
 
-def _rhs_for(state: WaveState, eps: float) -> tuple[Field, Field]:
-    """The raw system at eps = 0, where the mollified one equals it exactly."""
-    if eps == 0.0:
-        return zakharov_rhs(state)
-    return mollified_rhs(state, eps)
-
-
-def _check_envelope(state: WaveState, dt: float, scheme: str, eps: float):
-    coeff = _etdrk4_coefficients(state.grid, state.geo, dt, eps)
-    fastest = float(np.max(np.abs(coeff.omega_eff)))
-    if dt * fastest > _ENVELOPE[scheme]:
-        raise ValueError(
-            f"dt * max omega = {dt * fastest:.2f} outside the {scheme} "
-            f"stability envelope {_ENVELOPE[scheme]}")
-
-
+# perfbench/workloads.py still passes scheme=, so the keyword stays; only etdrk4 exists
 def step(state: WaveState, dt: float, eps: float = 0.0,
          scheme: str = "etdrk4") -> WaveState:
-    """Advance one step; aborts with the last valid state on NaN or geometry loss."""
-    if scheme not in _ENVELOPE:
+    """Advance one ETDRK4 step; aborts with the last valid state on NaN or geometry loss."""
+    if scheme != "etdrk4":
         raise ValueError(f"unknown scheme {scheme!r}")
-    _check_envelope(state, dt, scheme, eps)
+    coeff = _etdrk4_coefficients(state.grid, state.geo, dt, eps)
+    fastest = float(np.max(np.abs(coeff.omega_eff)))
+    if dt * fastest > _ENVELOPE:
+        raise ValueError(
+            f"dt * max omega = {dt * fastest:.2f} outside the etdrk4 "
+            f"stability envelope {_ENVELOPE}")
     try:
-        if scheme == "rk4":
-            new = _rk4_step(state, dt, eps)
-        else:
-            new = _etdrk4_step(state, dt, eps)
+        new = _etdrk4_step(state, dt, eps, coeff)
     except (GeometryError, SolverError, FloatingPointError) as exc:
         raise EvolutionAbort(f"step aborted at t={state.t:g}: {exc}", state=state)
     if not (np.all(np.isfinite(new.eta.values)) and np.all(np.isfinite(new.psi.values))):
@@ -429,42 +429,24 @@ def step(state: WaveState, dt: float, eps: float = 0.0,
     return new
 
 
-def _rk4_step(state, dt, eps):
-    def rhs(s):
-        return _rhs_for(s, eps)
-
-    k1e, k1p = rhs(state)
-    s2 = state.replace(t=state.t + dt / 2, eta=state.eta + k1e * (dt / 2),
-                       psi=state.psi + k1p * (dt / 2))
-    k2e, k2p = rhs(s2)
-    s3 = state.replace(t=state.t + dt / 2, eta=state.eta + k2e * (dt / 2),
-                       psi=state.psi + k2p * (dt / 2))
-    k3e, k3p = rhs(s3)
-    s4 = state.replace(t=state.t + dt, eta=state.eta + k3e * dt,
-                       psi=state.psi + k3p * dt)
-    k4e, k4p = rhs(s4)
-    eta = state.eta + (k1e + 2 * k2e + 2 * k3e + k4e) * (dt / 6)
-    psi = state.psi + (k1p + 2 * k2p + 2 * k3p + k4p) * (dt / 6)
-    return state.replace(t=state.t + dt, eta=eta.real(), psi=psi.real())
-
-
-def _etdrk4_step(state, dt, eps):
+def _etdrk4_step(state, dt, eps, coeff):
     grid = state.grid
-    coeff = _etdrk4_coefficients(grid, state.geo, dt, eps)
+    modes = coeff.modes
 
     def nonlinear(s: WaveState) -> np.ndarray:
-        fe, fp = _rhs_for(s, eps)
-        full = coeff.to_w(fe.spectrum, fp.spectrum)
-        base = coeff.to_w(s.eta.spectrum, s.psi.spectrum)
+        # the raw system at eps = 0, where the mollified one equals it exactly
+        fe, fp = zakharov_rhs(s) if eps == 0.0 else mollified_rhs(s, eps)
+        full = modes.to_w(fe.spectrum, fp.spectrum)
+        base = modes.to_w(s.eta.spectrum, s.psi.spectrum)
         return full - coeff.lam * base
 
     def to_state(w: np.ndarray, t: float) -> WaveState:
-        eta_c, psi_c = coeff.from_w(w)
+        eta_c, psi_c = modes.from_w(w)
         return state.replace(t=t, eta=Field.from_spectrum(grid, eta_c).real(),
                              psi=Field.from_spectrum(grid, psi_c).real())
 
     t = state.t
-    w0 = coeff.to_w(state.eta.spectrum, state.psi.spectrum)
+    w0 = modes.to_w(state.eta.spectrum, state.psi.spectrum)
     n0 = nonlinear(state)
     a = coeff.E2 * w0 + coeff.Q * n0
     na = nonlinear(to_state(a, t + dt / 2))
@@ -528,8 +510,7 @@ def _record(state: WaveState, s: float, delta: float, running: float) \
 
 
 def run(state: WaveState, dt: float, n_steps: int, eps: float = 0.0,
-        scheme: str = "etdrk4", s: float = 2.6,
-        delta: float = 0.1, sample_stride: int = 1,
+        s: float = 2.6, delta: float = 0.1, sample_stride: int = 1,
         state_stride: int | None = None) -> Trajectory:
     """Integrate n_steps and collect diagnostics every sample_stride steps."""
     traj = Trajectory(s=s, delta=delta)
@@ -540,7 +521,7 @@ def run(state: WaveState, dt: float, n_steps: int, eps: float = 0.0,
     traj.states.append(state.replace())
     for i in range(1, n_steps + 1):
         try:
-            state = step(state, dt, eps=eps, scheme=scheme)
+            state = step(state, dt, eps=eps)
         except EvolutionAbort as exc:
             exc.trajectory = traj
             raise
@@ -554,7 +535,11 @@ def run(state: WaveState, dt: float, n_steps: int, eps: float = 0.0,
     return traj
 
 
-def monitor(traj: Trajectory, jump_tol: float = 0.10) -> dict:
+# a record-to-record change of M above this share of M is flagged as a jump
+_JUMP_TOL = 0.10
+
+
+def monitor(traj: Trajectory) -> dict:
     """A priori growth diagnostics of M(t) = running sup of the pair norm."""
     t = traj.times
     m = traj.monitor_series()
@@ -565,7 +550,7 @@ def monitor(traj: Trajectory, jump_tol: float = 0.10) -> dict:
     rate, intercept = float(coeffs[0]), float(coeffs[1])
     dt_pos = t[1:] - t[0]
     growth = (m[1:] - m[0]) / np.where(dt_pos > 0, dt_pos, 1.0)
-    jumps = np.abs(np.diff(m)) > jump_tol * np.maximum(m[:-1], 1e-300)
+    jumps = np.abs(np.diff(m)) > _JUMP_TOL * np.maximum(m[:-1], 1e-300)
     return {
         "m0": float(m[0]),
         "m_final": float(m[-1]),

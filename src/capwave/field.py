@@ -34,8 +34,8 @@ __all__ = [
 
 # maxsize of the package's lru caches (the flat-interface eigensystem of the
 # DN preconditioner, one per nz; the shared quantizer, one per grid; the
-# ETDRK4 coefficients): every key a simulate run or a single verify suite
-# reuses stays resident
+# flat-mode table, one per grid and geometry; the ETDRK4 coefficients): every
+# key a simulate run or a single verify suite reuses stays resident
 CACHE_MAXSIZE = 16
 
 
@@ -265,10 +265,10 @@ def _truncate_spectrum(c: np.ndarray, m: int, n: int) -> np.ndarray:
     return out
 
 
-def evaluate_refined(u: Field, factor: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """Values of the trigonometric interpolant on a refined grid (x, u(x))."""
+def evaluate_refined(u: Field) -> tuple[np.ndarray, np.ndarray]:
+    """Values of the trigonometric interpolant on the 2x refined grid (x, u(x))."""
     n = u.grid.n
-    m = factor * n
+    m = 2 * n
     pu = _pad_spectrum(u.spectrum, n, m)
     fine = Grid(m, u.grid.length)
     vals = np.fft.ifft(pu / fine._phase * m)

@@ -193,38 +193,25 @@ def _bracket_report(c: np.ndarray, esc: EscapeSymbol, xi_samples) -> dict:
     }
 
 
-def kato_integral(traj, s: float, delta: float, omega_cutoff: float | None = None) -> float:
+def kato_integral(traj) -> float:
     """Trapezoidal time integral of the weighted smoothing integrand.
 
-    Uses the per-record integrand when (s, delta) match the trajectory
-    configuration, otherwise recomputes from stored states.  Flags
-    trajectories whose sampling cannot resolve the retained oscillations.
+    The integrand is the one each record carries, at the trajectory's own
+    (s, delta).
     """
     t = traj.times
     if len(t) < 4:
         raise ValueError("trajectory too short for a time integral")
-    dt = np.diff(t)
-    if omega_cutoff is not None and np.max(dt) * omega_cutoff > np.pi:
-        raise ValueError(
-            f"trajectory undersampled: dt*omega = {np.max(dt) * omega_cutoff:.2f} > pi")
-    if (s, delta) == (traj.s, traj.delta):
-        w = np.array([r.smoothing for r in traj.records])
-    else:
-        if len(traj.states) != len(traj.records):
-            raise ValueError("need stored states to re-weight the integrand")
-        w = np.array([
-            weighted_norm(st.eta, s + 0.75, delta) ** 2
-            + weighted_norm(st.psi, s + 0.25, delta) ** 2
-            for st in traj.states])
+    w = np.array([r.smoothing for r in traj.records])
     return float(np.trapezoid(w, t))
 
 
-def unweighted_integral(traj, s: float) -> float:
-    """Companion quantity int ||eta||_{H^(s+3/4)}^2 dt without the weight."""
+def unweighted_integral(traj) -> float:
+    """Companion int ||eta||_{H^(s+3/4)}^2 dt without the weight, at the trajectory's s."""
     if len(traj.states) != len(traj.records):
         raise ValueError("need stored states for the unweighted integral")
     t = traj.times
-    w = np.array([sobolev_norm(st.eta, s + 0.75) ** 2 for st in traj.states])
+    w = np.array([sobolev_norm(st.eta, traj.s + 0.75) ** 2 for st in traj.states])
     return float(np.trapezoid(w, t))
 
 

@@ -378,7 +378,7 @@ def _suite_smoothing(seed: int, timings: dict) -> list:
     worst_k = np.inf
     worst_sum = 0.0
     worst_sign = 0.0
-    for i, (eta, _) in enumerate(state_corpus(grid, geo, amplitude=0.05)[:5]):
+    for i, (eta, _) in enumerate(state_corpus(grid, amplitude=0.05)[:5]):
         rep = bound_check(eta, esc)
         worst_k = min(worst_k, rep["K_measured"])
         worst_sum = max(worst_sum, rep["sum_vs_direct"])
@@ -403,14 +403,13 @@ def _suite_smoothing(seed: int, timings: dict) -> list:
     eta0 = gaussian_packet(grid, 3.85, seed + 21, 1e-3)
     psi0 = gaussian_packet(grid, 3.35, seed + 22, 1e-3)
     st = WaveState(0.0, eta0, psi0, geo, nz=32, tail_tol=0.05)
-    traj = run(st, 5e-3, 40, scheme="etdrk4", s=2.6, delta=delta,
-               sample_stride=4, state_stride=4)
+    traj = run(st, 5e-3, 40, s=2.6, delta=delta, sample_stride=4, state_stride=4)
     rep = af_identity_check(traj.states, esc)
     checks.append(_check("smoothing.af_defect_rel",
                          rep["defect"] / max(abs(rep["lhs"]), 1e-300), 1e-2))
     checks.append(_check("smoothing.af_bound_ratio", rep["bound_ratio"], 10.0))
     checks.append(_check("smoothing.kato_finite",
-                         kato_integral(traj, 2.6, delta), 1e6))
+                         kato_integral(traj), 1e6))
     return checks
 
 
@@ -441,7 +440,7 @@ def dispersion_battery(modes=(1, 2, 4), amplitude=1e-4, periods=3.0) -> list:
                         Field.zeros(grid), geo, nz=48)
         states = []
         for _ in range(n_steps):
-            cur = step(cur, dt, scheme="etdrk4")
+            cur = step(cur, dt)
             states.append(cur)
         rel = dispersion_fit(states, k)["rel_err"]
         checks.append(_check(f"evolution.dispersion_k{k}", rel, 1e-4))
@@ -454,7 +453,7 @@ def conservation_battery(n_steps=500, dt=2e-3) -> list:
     geo = Geometry("flat_bottom", 1.0, g=1.0, kappa=1.0)
     eta0 = Field(grid, 0.05 * np.cos(grid.x) + 0.025)
     st = WaveState(0.0, eta0, Field.zeros(grid), geo, nz=48)
-    traj = run(st, dt, n_steps, scheme="etdrk4", sample_stride=20)
+    traj = run(st, dt, n_steps, sample_stride=20)
     h0 = traj.records[0].hamiltonian
     m0 = traj.records[0].mass
     h_drift = max(abs(r.hamiltonian - h0) for r in traj.records) / abs(h0)
@@ -468,7 +467,7 @@ def reformulation_battery() -> list:
     grid = Grid(128, 2 * np.pi)
     geo = Geometry("flat_bottom", 1.0, g=1.0, kappa=1.0)
     worst = 0.0
-    for eta, psi in state_corpus(grid, geo):
+    for eta, psi in state_corpus(grid):
         st = WaveState(0.0, eta, psi, geo, nz=32, tail_tol=0.05)
         ez, pz = zakharov_rhs(st)
         em, pm = mollified_rhs(st, 0.0)
@@ -490,8 +489,7 @@ def monitor_battery(eps_values=(0.0, 0.01, 0.1), t_final=0.5, dt=4e-3) -> list:
     jumps = 0
     for eps in eps_values:
         st = WaveState(0.0, eta0, psi0, geo, nz=32)
-        traj = run(st, dt, n_steps, eps=eps, scheme="etdrk4",
-                   s=2.6, delta=0.1, sample_stride=5)
+        traj = run(st, dt, n_steps, eps=eps, s=2.6, delta=0.1, sample_stride=5)
         rep = monitor(traj)
         rates.append(rep["max_growth_rate"])
         jumps += rep["jump_flags"]
@@ -529,10 +527,10 @@ def kato_battery(seed: int = 0, resolutions=(128, 256, 512), t_final=2.0,
         eta0 = gaussian_packet(grid, s + 1.25, seed + 41, 1e-3)
         psi0 = gaussian_packet(grid, s + 0.75, seed + 42, 1e-3)
         st = WaveState(0.0, eta0, psi0, geo, nz=48, tail_tol=0.05)
-        traj = run(st, dt, int(round(t_final / dt)), scheme="etdrk4",
-                   s=s, delta=delta, sample_stride=4, state_stride=4)
-        weighted.append(kato_integral(traj, s, delta))
-        unweighted.append(unweighted_integral(traj, s))
+        traj = run(st, dt, int(round(t_final / dt)), s=s, delta=delta,
+                   sample_stride=4, state_stride=4)
+        weighted.append(kato_integral(traj))
+        unweighted.append(unweighted_integral(traj))
     w_var = (max(weighted) - min(weighted)) / min(weighted)
     growth = unweighted[-1] / unweighted[0]
     return [

@@ -187,3 +187,14 @@ def test_out_of_band_mode_rejected_before_any_step(tmp_path, monkeypatch, mode):
     assert main(["simulate", str(path)]) == EXIT_VALIDATION
     assert steps == []
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_scheme_other_than_etdrk4_rejected_before_any_step(tmp_path, monkeypatch):
+    steps = []
+    monkeypatch.setattr(evolution, "step", lambda *a, **k: steps.append(a))
+    path = write_config(tmp_path, BASE_CONFIG.replace("evolution.scheme = etdrk4",
+                                                      "evolution.scheme = rk4"),
+                        out_dir=tmp_path / "out")
+    assert main(["simulate", str(path)]) == EXIT_VALIDATION
+    assert steps == []
+    assert not (tmp_path / "out" / "summary.json").exists()

@@ -50,7 +50,7 @@ def test_zero_state_is_equilibrium():
 
 def test_caches_are_bounded_lrus():
     caches = (evolution.shared_quantizer, dno._flat_eigensystem,
-              evolution._etdrk4_coefficients)
+              evolution._flat_modes, evolution._etdrk4_coefficients)
     assert all(c.cache_info().maxsize == CACHE_MAXSIZE for c in caches)
     grids = [Grid(8 + 2 * i, 2 * np.pi) for i in range(CACHE_MAXSIZE + 1)]
     for i, grid in enumerate(grids):
@@ -180,9 +180,8 @@ def test_eps_alone_picks_the_right_hand_side(monkeypatch, eps, called):
     for name in ("zakharov_rhs", "mollified_rhs"):
         monkeypatch.setattr(evolution, name, counting(name))
     st = WaveState(0.0, mode(GRID, 1, 0.01), mode(GRID, 2, 0.01, 0.4), GEO, nz=24)
-    for scheme in ("rk4", "etdrk4"):
-        step(st, 1e-3, eps=eps, scheme=scheme)
-    assert calls == [called] * 8
+    step(st, 1e-3, eps=eps)
+    assert calls == [called] * 4
 
 
 def test_flat_interface_plug_in():
@@ -298,38 +297,14 @@ def test_mollifier_orders_high_band_energy():
 def test_step_envelope_check():
     st = WaveState(0.0, mode(GRID, 1, 0.01), Field.zeros(GRID), GEO, nz=24)
     with pytest.raises(ValueError):
-        step(st, 1.0, scheme="rk4")  # dt * omega_max far out of envelope
+        step(st, 1.0)  # dt * omega_max ~ 172, far out of the envelope 40
     with pytest.raises(ValueError):
         step(st, 1e-3, scheme="leapfrog")
 
 
-def test_rk4_linear_period_return():
-    # one linear period of a small mode returns to the initial data; the
-    # global error contracts at fourth order under dt halving (small grid so
-    # the rk4 envelope admits a step with a measurable phase error)
-    grid = Grid(32, 2 * np.pi)
-    k, a = 2, 1e-7  # small enough that the O(a^2) bound harmonics sit
-    # below the integrator error at these step counts
-    omega = np.sqrt((1.0 + k**2) * k * np.tanh(k))
-    period = 2 * np.pi / omega
-    st0 = WaveState(0.0, mode(grid, k, a), Field.zeros(grid), GEO, nz=32)
-
-    def return_error(n_steps):
-        cur = st0
-        dt = period / n_steps
-        for _ in range(n_steps):
-            cur = step(cur, dt, scheme="rk4")
-        return np.max(np.abs(cur.eta.values - st0.eta.values)) / a
-
-    e_coarse = return_error(48)
-    e_fine = return_error(96)
-    assert 10 <= e_coarse / e_fine <= 24  # ~16 for a fourth-order scheme
-    assert e_fine < 1e-4
-
-
-def test_rk4_self_convergence_nonlinear():
-    # dt-halving error ratio ~ 2^4 against a dt/8 reference on a short
-    # nonlinear run
+def test_etdrk4_self_convergence_nonlinear():
+    # dt-halving error ratio ~ 2^4 against a T/160 reference on a short
+    # nonlinear run (errors 3.09e-11 at T/5 and 1.93e-12 at T/10, ratio 16.0)
     st0 = WaveState(0.0, mode(GRID, 1, 0.05),
                     Field(GRID, 0.05 * np.sin(GRID.x)), GEO, nz=32)
     t_final = 0.2
@@ -338,12 +313,12 @@ def test_rk4_self_convergence_nonlinear():
         cur = st0
         n = int(round(t_final / dt))
         for _ in range(n):
-            cur = step(cur, dt, scheme="rk4")
+            cur = step(cur, dt)
         return cur.eta.values
 
     ref = integrate(t_final / 160)
-    err1 = np.max(np.abs(integrate(t_final / 20) - ref))
-    err2 = np.max(np.abs(integrate(t_final / 40) - ref))
+    err1 = np.max(np.abs(integrate(t_final / 5) - ref))
+    err2 = np.max(np.abs(integrate(t_final / 10) - ref))
     assert 10 <= err1 / err2 <= 24
 
 
@@ -363,7 +338,7 @@ def test_energy_and_mass_conservation_short_run():
     grid = Grid(128, 2 * np.pi)
     eta0 = Field(grid, 0.05 * np.cos(grid.x) + 0.025)
     st = WaveState(0.0, eta0, Field.zeros(grid), GEO, nz=48)
-    traj = run(st, 2e-3, 60, scheme="etdrk4", sample_stride=10)
+    traj = run(st, 2e-3, 60, sample_stride=10)
     h0 = traj.records[0].hamiltonian
     m0 = traj.records[0].mass
     assert max(abs(r.hamiltonian - h0) for r in traj.records) <= 1e-8 * abs(h0)
@@ -389,7 +364,7 @@ def test_linear_flow_preserves_action():
     mags = []
     cur = st
     for _ in range(100):
-        cur = step(cur, dt, scheme="etdrk4")
+        cur = step(cur, dt)
         mags.append(abs(proj(diagonalize(cur), k)))
     mags = np.array(mags)
     assert np.max(np.abs(mags - mags[0])) <= 1e-6 * mags[0]
@@ -397,11 +372,11 @@ def test_linear_flow_preserves_action():
 
 def test_monitor_zero_and_short_run():
     st = WaveState(0.0, Field.zeros(GRID), Field.zeros(GRID), GEO, nz=24)
-    traj = run(st, 1e-3, 5, scheme="rk4")
+    traj = run(st, 1e-3, 5)
     rep = monitor(traj)
     assert rep["m0"] == 0.0 and rep["m_final"] == 0.0
     st = WaveState(0.0, mode(GRID, 1, 0.02), Field.zeros(GRID), GEO, nz=32)
-    traj = run(st, 2e-3, 50, scheme="etdrk4", sample_stride=5)
+    traj = run(st, 2e-3, 50, sample_stride=5)
     rep = monitor(traj)
     assert rep["jump_flags"] == 0
     assert rep["max_growth_rate"] * 0.1 <= 0.5 * rep["m0"]
@@ -448,7 +423,7 @@ def test_symmetrized_residual_smoother_than_principal_terms():
 
 def test_trajectory_csv(tmp_path):
     st = WaveState(0.0, mode(GRID, 1, 0.01), Field.zeros(GRID), GEO, nz=24)
-    traj = run(st, 2e-3, 5, scheme="rk4")
+    traj = run(st, 2e-3, 5)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     lines = path.read_text().strip().split("\n")
@@ -460,7 +435,11 @@ def test_abort_carries_last_state():
     # blow the state up by hand: depth becomes degenerate mid-step
     st = WaveState(0.0, mode(GRID, 1, 0.9), Field(GRID, 5.0 * np.sin(GRID.x)),
                    GEO, nz=24)
-    with pytest.raises((EvolutionAbort, ValueError)):
-        cur = st
+    cur = st
+    with pytest.raises(EvolutionAbort) as err:
         for _ in range(400):
-            cur = step(cur, 5e-3, scheme="rk4")
+            cur = step(cur, 5e-3)
+    carried = err.value.state
+    assert carried is cur
+    assert carried.t == pytest.approx(0.125)
+    assert np.all(np.isfinite(carried.eta.values)) and np.all(np.isfinite(carried.psi.values))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from capwave.dno import Geometry
 from capwave.field import Field, Grid, sobolev_norm
 from capwave.paradiff import (
-    DenseOp,
     ProbeError,
     Quantizer,
     adjoint_symbol,
