@@ -32,15 +32,15 @@ def power_law_field(grid: Grid, sigma: float, seed: int, amplitude: float = 1.0,
 
 
 def gaussian_packet(grid: Grid, sigma: float, seed: int, amplitude: float,
-                    width: float = 1.5, center: float = 0.0) -> Field:
-    """Localized packet: power-law roughness under a Gaussian envelope.
+                    width: float = 1.5) -> Field:
+    """Localized packet: power-law roughness under a Gaussian envelope at x = 0.
 
     The amplitude scales the fixed power-law coefficients directly (no
     per-resolution normalization), so refining the grid extends the same
     physical field.
     """
     rough = power_law_field(grid, sigma, seed)
-    envelope = np.exp(-((grid.x - center) ** 2) / (2.0 * width**2))
+    envelope = np.exp(-(grid.x**2) / (2.0 * width**2))
     vals = amplitude * rough.values.real * envelope
     return Field(grid, vals - np.mean(vals))
 

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["smooth_step", "smooth_step_derivative"]
+__all__ = ["smooth_step", "smooth_step_derivative", "chi_profile", "psi_cut"]
+
+# the admissibility cutoff chi_tilde falls from one to zero over [CHI_EPS1, CHI_EPS2]
+CHI_EPS1 = 0.1
+CHI_EPS2 = 0.2
 
 
 def _bump(t: np.ndarray) -> np.ndarray:
@@ -37,3 +41,14 @@ def smooth_step_derivative(t) -> np.ndarray:
     fp = _bump_derivative(t)
     gp = _bump_derivative(1.0 - t)
     return (fp * g + f * gp) / (f + g) ** 2
+
+
+def chi_profile(r) -> np.ndarray:
+    """Quantizer admissibility profile chi_tilde as a function of |theta|/|eta|:
+    one below ``CHI_EPS1``, zero above ``CHI_EPS2``."""
+    return 1.0 - smooth_step((np.asarray(r) - CHI_EPS1) / (CHI_EPS2 - CHI_EPS1))
+
+
+def psi_cut(eta) -> np.ndarray:
+    """Low-frequency cutoff psi: 0 for |eta| <= 1, 1 for |eta| >= 2."""
+    return smooth_step(np.abs(np.asarray(eta, dtype=float)) - 1.0)

@@ -23,6 +23,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .cutoffs import psi_cut
 from .dno import Geometry, GeometryError, SolverError, compute_B_V, dirichlet_neumann, \
     flat_dn_multiplier
 from .field import (
@@ -380,8 +381,7 @@ class _Etdrk4Coefficients:
     def __init__(self, grid: Grid, geo: Geometry, dt: float, eps: float):
         self.modes = modes = _flat_modes(grid, geo)
         # mollified flat linearization: rotation slowed by the symbol factor
-        psi_c = shared_quantizer(grid).psi_cut(grid.xi)
-        slow = 1.0 + (np.exp(-eps * np.abs(grid.xi) ** 1.5) - 1.0) * psi_c
+        slow = 1.0 + (np.exp(-eps * np.abs(grid.xi) ** 1.5) - 1.0) * psi_cut(grid.xi)
         self.omega_eff = modes.omega * slow
 
         lam = np.concatenate([1j * self.omega_eff * modes.linear_mask,

@@ -58,10 +58,6 @@ class Grid:
         self._phase = np.where(self.k % 2 == 0, 1.0, -1.0)
 
     @property
-    def dx(self) -> float:
-        return self.length / self.n
-
-    @property
     def xi_max(self) -> float:
         return np.pi * self.n / self.length
 
@@ -161,12 +157,6 @@ class Field:
             "grid": {"n": self.grid.n, "length": self.grid.length},
             "spectrum": [[c.real, c.imag] for c in spec],
         }
-
-    @classmethod
-    def from_json(cls, record: dict) -> "Field":
-        grid = Grid(record["grid"]["n"], record["grid"]["length"])
-        spec = np.array([complex(re, im) for re, im in record["spectrum"]])
-        return cls.from_spectrum(grid, spec)
 
 
 def multiplier(u: Field, m) -> Field:
@@ -277,12 +267,12 @@ def evaluate_refined(u: Field) -> tuple[np.ndarray, np.ndarray]:
     return fine.x, vals
 
 
-def band_tail_fraction(u: Field, fraction: float = 1.0 / 3.0) -> float:
-    """Relative spectral mass in the top ``fraction`` of the frequency band."""
+def band_tail_fraction(u: Field) -> float:
+    """Relative spectral mass in the top third of the frequency band."""
     c = np.abs(u.spectrum)
     total = np.sqrt(np.sum(c**2))
     if total == 0:
         return 0.0
-    cutoff = (1.0 - fraction) * u.grid.xi_max
+    cutoff = (1.0 - 1.0 / 3.0) * u.grid.xi_max
     tail = np.sqrt(np.sum(c[np.abs(u.grid.xi) >= cutoff] ** 2))
     return float(tail / total)

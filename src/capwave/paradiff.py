@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cutoffs import smooth_step
+from .cutoffs import chi_profile, psi_cut, smooth_step
 from .field import Field, Grid, sobolev_norm, spectral_derivative
 from .symbols import SIGNS, Mollifier, Symbol, sub_traces
 
@@ -40,11 +40,6 @@ __all__ = [
 ]
 
 
-# the admissibility cutoff chi_tilde falls from one to zero over [CHI_EPS1, CHI_EPS2]
-CHI_EPS1 = 0.1
-CHI_EPS2 = 0.2
-
-
 class ProbeError(RuntimeError):
     """Probe battery could not produce enough usable data points."""
 
@@ -52,9 +47,9 @@ class ProbeError(RuntimeError):
 class Quantizer:
     """Paradifferential quantization on one grid with fixed cutoffs.
 
-    chi(theta, eta) = chi_tilde(|theta| / |eta|) with chi_tilde equal to one
-    below ``CHI_EPS1`` and zero above ``CHI_EPS2``; psi vanishes for
-    |eta| <= 1 and equals one for |eta| >= 2.
+    chi(theta, eta) = chi_tilde(|theta| / |eta|) and psi(eta) are the
+    cutoffs :func:`~capwave.cutoffs.chi_profile` and
+    :func:`~capwave.cutoffs.psi_cut`.
     """
 
     def __init__(self, grid: Grid):
@@ -65,8 +60,8 @@ class Quantizer:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(k[None, :] != 0,
                              np.abs(diff) / np.maximum(np.abs(k[None, :]), 1), np.inf)
-        psi = self.psi_cut(grid.xi)
-        cut = self.chi_profile(ratio) * (np.abs(diff) <= n // 2) * psi[None, :]
+        psi = psi_cut(grid.xi)
+        cut = chi_profile(ratio) * (np.abs(diff) <= n // 2) * psi[None, :]
         # T_a vanishes off the support of chi(theta, eta) psi(eta); there it
         # gathers ahat(theta, column) under one of two column plans: the
         # trace at sgn(eta) (columns xi = +1, -1) or the frequency eta itself
@@ -78,14 +73,6 @@ class Quantizer:
         self._identity_index = theta * n + self._cols
         # |eta| where psi does not vanish (|eta| > 1), so negative powers stay finite
         self._absxi = np.where(psi > 0, np.abs(grid.xi), 1.0)
-
-    def chi_profile(self, r) -> np.ndarray:
-        """Admissibility profile as a function of |theta|/|eta|."""
-        return 1.0 - smooth_step((np.asarray(r) - CHI_EPS1) / (CHI_EPS2 - CHI_EPS1))
-
-    def psi_cut(self, eta) -> np.ndarray:
-        """Low-frequency cutoff: 0 for |eta| <= 1, 1 for |eta| >= 2."""
-        return smooth_step(np.abs(np.asarray(eta, dtype=float)) - 1.0)
 
     def matrix(self, symbol: Symbol) -> np.ndarray:
         """Dense coefficient-space matrix of T_symbol.
@@ -148,34 +135,23 @@ class DenseOp:
         return DenseOp(self.grid, np.conj(self.matrix.T), name=f"{self.name}*")
 
 
-def compose(a: Symbol, b: Symbol, rho: float = 1.5) -> Symbol:
-    """Truncated composition a#b at the orders resolved by rho.
-
-    For rho <= 1 only the product of principal parts is kept; for
-    rho = 3/2 the sub-principal corrections and the first Leibniz term
-    (1/i) dxi(a) dx(b) are retained.
-    """
+def compose(a: Symbol, b: Symbol) -> Symbol:
+    """Composition a#b truncated after the sub-principal order: the product
+    of principal parts, the sub-principal corrections and the first Leibniz
+    term (1/i) dxi(a) dx(b)."""
     if a.grid != b.grid:
         raise ValueError("grid mismatch")
-    if rho not in (0.5, 1.0, 1.5):
-        raise ValueError("rho must be one of {1/2, 1, 3/2}")
-    sub = None
-    if rho > 1.0:
-        sub = (a.principal * sub_traces(b) + sub_traces(a) * b.principal
-               + (1.0 / 1j) * (a.order * SIGNS * a.principal)
-               * spectral_derivative(b.principal, a.grid.xi, axis=0))
+    sub = (a.principal * sub_traces(b) + sub_traces(a) * b.principal
+           + (1.0 / 1j) * (a.order * SIGNS * a.principal)
+           * spectral_derivative(b.principal, a.grid.xi, axis=0))
     return Symbol(a.grid, a.order + b.order, a.principal * b.principal, sub,
                   name=f"{a.name}#{b.name}")
 
 
-def adjoint_symbol(a: Symbol, rho: float = 1.5) -> Symbol:
-    """Adjoint symbol a*: conj(a) plus (1/i) dxi dx conj(a^(m)) when rho > 1."""
-    if rho not in (0.5, 1.0, 1.5):
-        raise ValueError("rho must be one of {1/2, 1, 3/2}")
-    sub = None
-    if rho > 1.0:
-        sub = np.conj(sub_traces(a)) + (1.0 / 1j) * spectral_derivative(
-            np.conj(a.order * SIGNS * a.principal), a.grid.xi, axis=0)
+def adjoint_symbol(a: Symbol) -> Symbol:
+    """Adjoint symbol a*: conj(a) plus (1/i) dxi dx conj(a^(m))."""
+    sub = np.conj(sub_traces(a)) + (1.0 / 1j) * spectral_derivative(
+        np.conj(a.order * SIGNS * a.principal), a.grid.xi, axis=0)
     return Symbol(a.grid, a.order, np.conj(a.principal), sub, name=f"{a.name}*")
 
 
@@ -275,16 +251,16 @@ def shell_energies(u: Field, jmin: int = 0, jmax: int | None = None):
     return np.array(js), np.array(energies)
 
 
-def measured_regularity(u: Field, jmin: int = 1, jmax: int | None = None,
-                        floor: float = 1e-28) -> float:
+def measured_regularity(u: Field, jmin: int = 1, jmax: int | None = None) -> float:
     """Sobolev regularity estimated from the dyadic energy slope.
 
     For |c_k| ~ |k|^(-sigma) the shell energy scales like 2^(j(1-2 sigma)),
     i.e. u sits on the boundary of H^s for s = sigma - 1/2; the fitted slope
-    is converted accordingly.
+    is converted accordingly.  Shells below 1e-28 of the largest shell
+    energy are left out of the fit.
     """
     js, energies = shell_energies(u, jmin, jmax)
-    usable = energies > floor * max(energies.max(), 1e-300)
+    usable = energies > 1e-28 * max(energies.max(), 1e-300)
     if np.count_nonzero(usable) < 3:
         raise ProbeError("too few energetic shells to fit a regularity slope")
     slope = np.polyfit(js[usable], np.log2(energies[usable]), 1)[0]

@@ -8,6 +8,11 @@ xi-derivative of the dispersive symbol times the exact x-derivative of the
 escape function).  The smoothing effect itself is probed through the
 weighted time integral of a trajectory and a fitted sharp-lower-bound pair
 for the commutator quadratic form.
+
+The Doi bound is evaluated once, for the escape symbol it is given, with no
+retry at another partition parameter: every term of the bracket is
+nonnegative and psi_0 + psi_+ + psi_- = 1, so K > 0 for every escape symbol
+the constructor accepts, and a K <= 0 is a defect that the report shows.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma, hyp2f1
+from scipy.special import hyp2f1
 
 from .cutoffs import smooth_step, smooth_step_derivative
 
@@ -56,9 +61,7 @@ class EscapeSymbol:
             raise ValueError("delta must be positive")
         if not 0 < self.eps_doi < 0.5:
             raise ValueError("eps_doi must lie in (0, 1/2)")
-        x = self.grid.x
-        self._f_vals = _f_primitive(np.abs(x), self.delta)
-        self._f_inf = _f_limit(self.delta)
+        self._f_vals = _f_primitive(np.abs(self.grid.x), self.delta)
 
     # building blocks on the grid, for xi > 0 (odd continuation in sgn xi)
     def blocks(self):
@@ -72,16 +75,14 @@ class EscapeSymbol:
         return {"x": x, "jx": bracket_x, "y": y, "psi0": psi_0,
                 "psip": psi_p, "psim": psi_m, "f": self._f_vals}
 
-    def values(self, sign: float = 1.0) -> np.ndarray:
-        """Samples of a(x, xi) for the given sgn xi."""
+    def values(self) -> np.ndarray:
+        """Samples of a(x, xi) for xi > 0."""
         b = self.blocks()
-        a_plus = b["y"] * b["psi0"] \
-            + (2.0 * self.eps_doi + b["f"]) * (b["psip"] - b["psim"])
-        return np.sign(sign) * a_plus
+        return b["y"] * b["psi0"] + (2.0 * self.eps_doi + b["f"]) * (b["psip"] - b["psim"])
 
-    def x_derivative(self, sign: float = 1.0) -> np.ndarray:
-        """Exact d/dx of the escape function (the weight is not periodic,
-        so no spectral differentiation here)."""
+    def x_derivative(self) -> np.ndarray:
+        """Exact d/dx of the escape function for xi > 0 (the weight is not
+        periodic, so no spectral differentiation here)."""
         b = self.blocks()
         x, jx, y = b["x"], b["jx"], b["y"]
         eps = self.eps_doi
@@ -94,15 +95,11 @@ class EscapeSymbol:
         fprime = jx ** (-1.0 - self.delta) * np.sign(x)
         term2 = fprime * (b["psip"] - b["psim"])
         term3 = (2.0 * eps + b["f"]) * (phip_p - phim_p) * yprime
-        return np.sign(sign) * (term1 + term2 + term3)
-
-    def far_field_limit(self) -> float:
-        """Limit of a(x, xi>0) as x -> +infinity."""
-        return 2.0 * self.eps_doi + self._f_inf
+        return term1 + term2 + term3
 
     def symbol(self) -> Symbol:
         """Paradifferential adapter (order zero, odd in sgn xi)."""
-        vals = self.values(1.0)
+        vals = self.values()
         return Symbol(self.grid, 0.0, np.stack([vals, -vals], axis=1), name="escape")
 
     def doi_bracket(self, eta: Field) -> Symbol:
@@ -110,7 +107,7 @@ class EscapeSymbol:
         as an order-1/2 symbol even in sgn xi."""
         ex = x_derivative(eta).values.real
         c = (1.0 + ex**2) ** -0.75
-        return Symbol(self.grid, 0.5, (1.5 * c * self.x_derivative(1.0))[:, None],
+        return Symbol(self.grid, 0.5, (1.5 * c * self.x_derivative())[:, None],
                       name="doi-bracket")
 
 
@@ -119,12 +116,6 @@ def _f_primitive(sigma: np.ndarray, delta: float) -> np.ndarray:
     sigma 2F1(1/2, (1+delta)/2; 3/2; -sigma^2)."""
     sigma = np.asarray(sigma, dtype=float)
     return sigma * hyp2f1(0.5, 0.5 * (1.0 + delta), 1.5, -sigma**2)
-
-
-def _f_limit(delta: float) -> float:
-    """f(infinity) = sqrt(pi) Gamma(delta/2) / (2 Gamma((1+delta)/2))."""
-    return float(np.sqrt(np.pi) * gamma(0.5 * delta)
-                 / (2.0 * gamma(0.5 * (1.0 + delta))))
 
 
 def build_escape(delta: float, eps_doi: float, grid: Grid) -> EscapeSymbol:
@@ -136,35 +127,25 @@ def bound_check(eta: Field, esc: EscapeSymbol) -> dict:
 
     Returns K_measured = min over the (x, xi) sample of
     {c |xi|^(3/2), a} <x>^(1+delta) |xi|^(-1/2) together with the
-    term-by-term decomposition checks.  If the minimum is nonpositive the
-    partition parameter is halved and the check repeated.
+    term-by-term decomposition checks, evaluated once for ``esc``: the
+    report's ``eps_doi`` and ``delta`` are those of ``esc``, and ``argmin``
+    is the (x, xi) sample where the minimum sits.
     """
     mags = np.geomspace(0.5, max(2.0, esc.grid.xi_max), 50)
     xi_samples = np.concatenate([mags, -mags])
     ex = x_derivative(eta).values.real
     c = (1.0 + ex**2) ** -0.75
-    grid = esc.grid
-
-    attempts = 0
-    current = esc
-    while True:
-        report = _bracket_report(c, current, xi_samples)
-        if report["K_measured"] > 0 or attempts >= 8:
-            report["eps_doi"] = current.eps_doi
-            report["delta"] = current.delta
-            report["attempts"] = attempts
-            if report["K_measured"] <= 0:
-                report["witness"] = report.pop("argmin")
-            return report
-        attempts += 1
-        current = EscapeSymbol(current.delta, current.eps_doi / 2.0, grid)
+    report = _bracket_report(c, esc, xi_samples)
+    report["eps_doi"] = esc.eps_doi
+    report["delta"] = esc.delta
+    return report
 
 
 def _bracket_report(c: np.ndarray, esc: EscapeSymbol, xi_samples) -> dict:
     b = esc.blocks()
     jx, y = b["jx"], b["y"]
     eps = esc.eps_doi
-    ax = esc.x_derivative(1.0)
+    ax = esc.x_derivative()
     # bracket for xi > 0 equals (3/2) c |xi|^(1/2) d/dx a; even in sgn xi
     xi = np.asarray(xi_samples, dtype=float)
     root = np.abs(xi) ** 0.5

@@ -32,7 +32,6 @@ __all__ = [
     "symmetrizer",
     "parametrix",
     "factorization",
-    "mollifier_symbol",
     "elliptic_weight",
     "seminorm",
     "poisson_bracket",
@@ -312,12 +311,6 @@ def factorization(eta: Field, geo) -> tuple[Symbol, Symbol]:
     A0 = (cross - (ga / al) * A1) / (a1 - A1)
     return (Symbol(grid, 1.0, a1, a0, name="a"),
             Symbol(grid, 1.0, A1, A0, name="A"))
-
-
-def mollifier_symbol(eta: Field, eps: float, gamma: Symbol | None = None) -> Mollifier:
-    """Regularizing symbol exp(-eps gamma^(3/2)) with its adjoint correction."""
-    gam = gamma if gamma is not None else symmetrizer(eta)[2]
-    return Mollifier(gam, eps, name=f"mollifier(eps={eps:g})")
 
 
 def elliptic_weight(eta: Field, s: float) -> Symbol:

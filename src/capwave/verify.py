@@ -27,8 +27,8 @@ from .paradiff import Quantizer, adjoint_symbol, compose, remainder_order, \
     shell_field
 from .smoothing import af_identity_check, bound_check, build_escape, garding_fit, \
     kato_integral, unweighted_integral
-from .symbols import Symbol, curvature_symbol, dn_symbol, elliptic_weight, \
-    mollifier_symbol, parametrix, poisson_bracket, seminorm, symmetrizer
+from .symbols import Mollifier, Symbol, curvature_symbol, dn_symbol, elliptic_weight, \
+    parametrix, poisson_bracket, seminorm, symmetrizer
 
 SUITES = ("dno", "calculus", "symbols", "smoothing", "evolution")
 
@@ -207,7 +207,7 @@ def _suite_symbols(seed: int, timings: dict) -> list:
     checks.append(_check("symbols.g12", np.max(np.abs(g12)), 1e-10))
 
     br1 = poisson_bracket(h, lam).principal_at(xi)
-    br2 = poisson_bracket(compose(h, lam, 1.0), q).principal_at(xi)
+    br2 = poisson_bracket(compose(h, lam), q).principal_at(xi)
     fre = 0.5 * br1 * q.principal_at(xi) - br2
     checks.append(_check("symbols.q_transport_equation", np.max(np.abs(fre)), 1e-8))
 
@@ -255,7 +255,7 @@ def _suite_symbols(seed: int, timings: dict) -> list:
     worst_bracket = 0.0
     worst_semi = 0.0
     for eps in (0.01, 0.1):
-        j = mollifier_symbol(eta, eps, gam)
+        j = Mollifier(gam, eps)
         worst_bracket = max(worst_bracket, float(np.max(np.abs(j.bracket_at(gam, xi)))))
         worst_semi = max(worst_semi, seminorm(j, 0.0))
     checks.append(_check("symbols.mollifier_bracket", worst_bracket, 1e-10))
@@ -293,19 +293,19 @@ def _suite_calculus(seed: int, timings: dict) -> list:
     # in 1D lambda = |xi| exactly, so T_p T_lambda = T_(p#lambda) is an
     # identity: every shell error must sit at the probe's noise floor
     rep = remainder_order(lambda f: ops["p"](ops["dn"](f)),
-                          quant.operator(compose(p, lam, 1.5)).apply,
+                          quant.operator(compose(p, lam)).apply,
                           mu, p.order + lam.order, grid, shells=shells, seed=seed)
     checks.append(_check("calculus.compose_p_lambda", max(rep["errors"]), rep["floor"]))
 
     pairs = [("compose_q_h", q, h), ("compose_gamma_gamma", gam, gam)]
     for i, (name, aa, bb) in enumerate(pairs, 1):
         ta, tb = ops[aa.name], ops[bb.name]
-        tab = quant.operator(compose(aa, bb, 1.5))
+        tab = quant.operator(compose(aa, bb))
         probe(name, lambda f, A=ta, B=tb: A(B(f)), tab.apply,
               aa.order + bb.order, 1.5, seed + i)
 
     tg = ops["gamma"]
-    tgs = quant.operator(adjoint_symbol(gam, 1.5))
+    tgs = quant.operator(adjoint_symbol(gam))
     probe("adjoint_gamma", tg.adjoint().apply, tgs.apply, gam.order, 1.5, seed + 3)
 
     probe("symmetrize_p_lambda",
@@ -346,7 +346,7 @@ def _suite_calculus(seed: int, timings: dict) -> list:
     probes = [shell_field(grid, j, mu, rng) for j in (4, 6, 8)]
     worst = 0.0
     for eps in (0.01, 0.1, 0.5, 1.0):
-        tj = quant.operator(mollifier_symbol(eta, eps, gam))
+        tj = quant.operator(Mollifier(gam, eps))
         for u in probes:
             comm = tj(tg(u)) - tg(tj(u))
             worst = max(worst, sobolev_norm(comm, mu) / sobolev_norm(u, mu))
@@ -426,17 +426,21 @@ def _suite_evolution(seed: int, timings: dict) -> list:
     return checks
 
 
-def dispersion_battery(modes=(1, 2, 4), amplitude=1e-4, periods=3.0) -> list:
-    """Criterion-level dispersion fit on small standing modes."""
+def dispersion_battery() -> list:
+    """Criterion-level dispersion fit on small standing modes.
+
+    Modes k = 1, 2, 4 at amplitude 1e-4, each run for 3 periods at 200
+    steps per period.
+    """
     grid = Grid(64, 2 * np.pi)
     geo = Geometry("flat_bottom", 1.0, g=1.0, kappa=1.0)
     checks = []
-    for k in modes:
+    for k in (1, 2, 4):
         omega = np.sqrt((geo.g + geo.kappa * k**2) * k * np.tanh(k * geo.depth))
         period = 2 * np.pi / omega
         dt = period / 200
-        n_steps = int(round(periods * period / dt))
-        cur = WaveState(0.0, Field(grid, amplitude * np.cos(k * grid.x)),
+        n_steps = int(round(3.0 * period / dt))
+        cur = WaveState(0.0, Field(grid, 1e-4 * np.cos(k * grid.x)),
                         Field.zeros(grid), geo, nz=48)
         states = []
         for _ in range(n_steps):
@@ -447,13 +451,14 @@ def dispersion_battery(modes=(1, 2, 4), amplitude=1e-4, periods=3.0) -> list:
     return checks
 
 
-def conservation_battery(n_steps=500, dt=2e-3) -> list:
-    """Mass and total-energy drift over a resolved nonlinear run."""
+def conservation_battery() -> list:
+    """Mass and total-energy drift over a resolved nonlinear run of 500
+    steps at dt = 2e-3."""
     grid = Grid(128, 2 * np.pi)
     geo = Geometry("flat_bottom", 1.0, g=1.0, kappa=1.0)
     eta0 = Field(grid, 0.05 * np.cos(grid.x) + 0.025)
     st = WaveState(0.0, eta0, Field.zeros(grid), geo, nz=48)
-    traj = run(st, dt, n_steps, sample_stride=20)
+    traj = run(st, 2e-3, 500, sample_stride=20)
     h0 = traj.records[0].hamiltonian
     m0 = traj.records[0].mass
     h_drift = max(abs(r.hamiltonian - h0) for r in traj.records) / abs(h0)
@@ -478,16 +483,21 @@ def reformulation_battery() -> list:
     return [_check("evolution.reformulation_eps0_rel", worst, 1e-8)]
 
 
-def monitor_battery(eps_values=(0.0, 0.01, 0.1), t_final=0.5, dt=4e-3) -> list:
-    """Uniform-in-eps a priori growth of the running sup M(t)."""
+def monitor_battery() -> list:
+    """Uniform-in-eps a priori growth of the running sup M(t).
+
+    eps = 0, 0.01 and 0.1, each run to t = 0.5 at dt = 4e-3.
+    """
     grid = Grid(128, 2 * np.pi)
     geo = Geometry("flat_bottom", 1.0, g=1.0, kappa=1.0)
     eta0 = Field(grid, 0.02 * np.cos(grid.x) + 0.01 * np.sin(2 * grid.x))
     psi0 = Field(grid, 0.02 * np.sin(grid.x) + 0.005 * np.cos(3 * grid.x))
+    t_final = 0.5
+    dt = 4e-3
     n_steps = int(round(t_final / dt))
     rates, m0 = [], None
     jumps = 0
-    for eps in eps_values:
+    for eps in (0.0, 0.01, 0.1):
         st = WaveState(0.0, eta0, psi0, geo, nz=32)
         traj = run(st, dt, n_steps, eps=eps, s=2.6, delta=0.1, sample_stride=5)
         rep = monitor(traj)
@@ -506,9 +516,11 @@ def monitor_battery(eps_values=(0.0, 0.01, 0.1), t_final=0.5, dt=4e-3) -> list:
     return checks
 
 
-def kato_battery(seed: int = 0, resolutions=(128, 256, 512), t_final=2.0,
-                 dt=2.5e-3, delta=0.4) -> list:
+def kato_battery(seed: int = 0) -> list:
     """Resolution sweep of the weighted vs unweighted time integrals.
+
+    n = 128, 256 and 512 on a period of 16 pi, each run for 800 steps of
+    dt = 2.5e-3 (to t = 2) with s = 2.6 and delta = 0.4.
 
     The data has a fixed power-law envelope with resolution-shared phases at
     the critical regularity, so refining the grid extends the same rough
@@ -520,15 +532,13 @@ def kato_battery(seed: int = 0, resolutions=(128, 256, 512), t_final=2.0,
     """
     geo = Geometry("flat_bottom", 1.0, g=1.0, kappa=1.0)
     s = 2.6
-    length = 16 * np.pi
     weighted, unweighted = [], []
-    for n in resolutions:
-        grid = Grid(n, length)
+    for n in (128, 256, 512):
+        grid = Grid(n, 16 * np.pi)
         eta0 = gaussian_packet(grid, s + 1.25, seed + 41, 1e-3)
         psi0 = gaussian_packet(grid, s + 0.75, seed + 42, 1e-3)
         st = WaveState(0.0, eta0, psi0, geo, nz=48, tail_tol=0.05)
-        traj = run(st, dt, int(round(t_final / dt)), s=s, delta=delta,
-                   sample_stride=4, state_stride=4)
+        traj = run(st, 2.5e-3, 800, s=s, delta=0.4, sample_stride=4, state_stride=4)
         weighted.append(kato_integral(traj))
         unweighted.append(unweighted_integral(traj))
     w_var = (max(weighted) - min(weighted)) / min(weighted)

@@ -48,6 +48,22 @@ def test_zero_state_is_equilibrium():
     assert nxt.eta.max_abs() == 0.0 and nxt.psi.max_abs() == 0.0
 
 
+def test_raw_run_builds_no_quantizer(monkeypatch):
+    # the raw right-hand side and the ETDRK4 coefficients need no T_a; the
+    # shared quantizer is swapped for an uncached one, so a request for it
+    # counts even when an earlier test cached the grid's quantizer
+    built = []
+    init = Quantizer.__init__
+    monkeypatch.setattr(Quantizer, "__init__",
+                        lambda self, grid: built.append(grid) or init(self, grid))
+    monkeypatch.setattr(evolution, "shared_quantizer", Quantizer)
+    grid = Grid(512, 16 * np.pi)
+    st = WaveState(0.0, mode(grid, 3, 1e-3), Field.zeros(grid), GEO, nz=16)
+    traj = run(st, 1.7e-3, 2)
+    assert traj.records[-1].t == pytest.approx(3.4e-3)
+    assert built == []
+
+
 def test_caches_are_bounded_lrus():
     caches = (evolution.shared_quantizer, dno._flat_eigensystem,
               evolution._flat_modes, evolution._etdrk4_coefficients)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capwave.dno import Geometry
+from capwave.cutoffs import chi_profile, psi_cut
 from capwave.field import Field, Grid, sobolev_norm
 from capwave.paradiff import (
     ProbeError,
@@ -26,7 +27,6 @@ from capwave.symbols import (
     dn_symbol,
     elliptic_weight,
     factorization,
-    mollifier_symbol,
     parametrix,
     symmetrizer,
 )
@@ -54,9 +54,9 @@ def direct_quantize(quantizer, symbol, u):
             if abs(d) > n // 2 or grid.k[i_in] == 0:
                 continue
             eta_f = grid.xi[i_in]
-            chi = quantizer.chi_profile(
+            chi = chi_profile(
                 abs(grid.xi[i_out] - eta_f) / abs(eta_f))
-            psi = quantizer.psi_cut(np.array([eta_f]))[0]
+            psi = psi_cut(np.array([eta_f]))[0]
             m_idx = int(d % n)
             c_out[i_out] += chi * ahat[m_idx, i_in] * psi * c_in[i_in]
     return c_out
@@ -71,8 +71,8 @@ def sampled_matrix(quantizer, symbol):
     gathered = np.take_along_axis(ahat, np.mod(diff, grid.n), axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(k[None, :] != 0, np.abs(diff) / np.abs(k)[None, :], np.inf)
-    chi = quantizer.chi_profile(ratio) * (np.abs(diff) <= grid.n // 2)
-    return chi * gathered * quantizer.psi_cut(grid.xi)[None, :]
+    chi = chi_profile(ratio) * (np.abs(diff) <= grid.n // 2)
+    return chi * gathered * psi_cut(grid.xi)[None, :]
 
 
 def trace_constructors(eta):
@@ -83,8 +83,8 @@ def trace_constructors(eta):
     p, q, gam = symmetrizer(eta)
     a_s, A_s = factorization(eta, Geometry("parallel_strip", 1.0))
     return [lam, h, p, q, gam, parametrix(eta, p), a_s, A_s,
-            elliptic_weight(eta, 2.6), compose(p, lam, 1.5), compose(q, h, 1.5),
-            adjoint_symbol(gam, 1.5), Symbol.from_field(eta),
+            elliptic_weight(eta, 2.6), compose(p, lam), compose(q, h),
+            adjoint_symbol(gam), Symbol.from_field(eta),
             Symbol.from_multiplier(grid, 1.5), build_escape(0.1, 0.05, grid).symbol(),
             build_escape(0.1, 0.05, grid).doi_bracket(eta)]
 
@@ -116,7 +116,8 @@ def test_nonhomogeneous_symbol_uses_full_sample(monkeypatch):
     sample_grid = Symbol.sample_grid
     monkeypatch.setattr(Symbol, "sample_grid",
                         lambda self: sampled.append(self.name) or sample_grid(self))
-    for sym in (mollifier_symbol(ETA, 0.1, gam), Mollifier(gam, 0.01, -1.0, name="j-1")):
+    for sym in (Mollifier(gam, 0.1, name="mollifier(eps=0.1)"),
+                Mollifier(gam, 0.01, -1.0, name="j-1")):
         got = Q.matrix(sym)
         ref = sampled_matrix(Q, sym)
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
@@ -137,12 +138,12 @@ def power_law_field(grid, sigma, seed, amplitude=1.0):
 
 def test_cutoff_profiles():
     r = np.array([0.05, 0.1, 0.15, 0.2, 0.5])
-    chi = Q.chi_profile(r)
+    chi = chi_profile(r)
     assert chi[0] == 1.0 and chi[1] == 1.0
     assert chi[3] == 0.0 and chi[4] == 0.0
     assert 0.0 < chi[2] < 1.0
     eta_f = np.array([0.5, 1.0, 1.5, 2.0, 8.0])
-    psi = Q.psi_cut(eta_f)
+    psi = psi_cut(eta_f)
     assert psi[0] == 0.0 and psi[1] == 0.0
     assert psi[3] == 1.0 and psi[4] == 1.0
 
@@ -161,7 +162,7 @@ def test_constant_symbol_is_high_pass():
     rng = np.random.default_rng(1)
     u = shell_field(GRID, 3, 0.0, rng)
     got = Q.quantize(one, u).spectrum
-    assert np.max(np.abs(got - Q.psi_cut(GRID.xi) * u.spectrum)) == 0.0
+    assert np.max(np.abs(got - psi_cut(GRID.xi) * u.spectrum)) == 0.0
 
 
 def test_multiplier_symbol_exact():
@@ -169,7 +170,7 @@ def test_multiplier_symbol_exact():
     rng = np.random.default_rng(2)
     u = shell_field(GRID, 3, 0.0, rng)
     got = Q.quantize(sym, u).spectrum
-    ref = np.abs(GRID.xi) ** 1.5 * Q.psi_cut(GRID.xi) * u.spectrum
+    ref = np.abs(GRID.xi) ** 1.5 * psi_cut(GRID.xi) * u.spectrum
     assert np.max(np.abs(got - ref)) < 1e-15
 
 
@@ -232,7 +233,7 @@ def test_compose_with_one_is_identity():
     gam = symmetrizer(ETA)[2]
     one = Symbol.from_multiplier(GRID, 0.0)
     xi = np.array([1.0, 2.0, -5.0])
-    comp = compose(gam, one, 1.5)
+    comp = compose(gam, one)
     assert np.max(np.abs(comp.principal_at(xi) - gam.principal_at(xi))) < 1e-14
     assert np.max(np.abs(comp.subprincipal_at(xi) - gam.subprincipal_at(xi))) < 1e-14
 
@@ -242,7 +243,7 @@ def test_compose_one_term_leibniz():
     qvals = 1.0 + 0.1 * np.sin(GRID.x)
     b = Symbol.from_field(Field(GRID, qvals), name="q")
     a = Symbol.from_multiplier(GRID, 1.0, name="|xi|")
-    comp = compose(a, b, 1.5)
+    comp = compose(a, b)
     xi = np.array([1.0, 2.0, -3.0])
     qx = 0.1 * np.cos(GRID.x)
     expected_sub = (1.0 / 1j) * np.sign(xi)[None, :] * qx[:, None]
@@ -255,8 +256,8 @@ def test_symmetrizer_compositions_agree():
     # p#lambda and gamma#q agree at both retained orders
     lam = dn_symbol(ETA)
     p, q, gam = symmetrizer(ETA)
-    left = compose(p, lam, 1.5)
-    right = compose(gam, q, 1.5)
+    left = compose(p, lam)
+    right = compose(gam, q)
     xi = np.array([1.0, 2.0, -1.0, -2.0, 6.0])
     assert np.max(np.abs(left.principal_at(xi) - right.principal_at(xi))) < 1e-10
     assert np.max(np.abs(left.subprincipal_at(xi) - right.subprincipal_at(xi))) < 1e-10
@@ -264,21 +265,21 @@ def test_symmetrizer_compositions_agree():
 
 def test_adjoint_real_multiplier():
     a = Symbol.from_multiplier(GRID, 1.0)
-    astar = adjoint_symbol(a, 1.5)
+    astar = adjoint_symbol(a)
     xi = np.array([1.0, -2.0, 4.0])
     assert np.max(np.abs(astar.total_at(xi) - a.total_at(xi))) < 1e-14
 
 
 def test_gamma_self_adjoint_at_symbol_level():
     _, _, gam = symmetrizer(ETA)
-    gstar = adjoint_symbol(gam, 1.5)
+    gstar = adjoint_symbol(gam)
     xi = np.array([1.0, 2.0, -1.0, -2.0, 5.0])
     assert np.max(np.abs(gstar.total_at(xi) - gam.total_at(xi))) < 1e-8
 
 
 def test_double_adjoint_returns_symbol():
     _, _, gam = symmetrizer(ETA)
-    back = adjoint_symbol(adjoint_symbol(gam, 1.5), 1.5)
+    back = adjoint_symbol(adjoint_symbol(gam))
     xi = np.array([1.0, 2.0, -3.0])
     assert np.max(np.abs(back.total_at(xi) - gam.total_at(xi))) < 1e-10
 
@@ -299,7 +300,7 @@ def test_composition_remainder_order(probe_setup):
     q = symmetrizer(eta)[1]
     h = curvature_symbol(eta)
     Tq, Th = quant.operator(q), quant.operator(h)
-    Tqh = quant.operator(compose(q, h, 1.5))
+    Tqh = quant.operator(compose(q, h))
     rep = remainder_order(lambda f: Tq(Th(f)), Tqh.apply, 2.0,
                           q.order + h.order, grid, shells=range(3, 8), seed=1)
     assert rep["gain"] >= 1.25, rep
@@ -309,7 +310,7 @@ def test_adjoint_remainder_order(probe_setup):
     grid, quant, eta = probe_setup
     gam = symmetrizer(eta)[2]
     Tg = quant.operator(gam)
-    Tgs = quant.operator(adjoint_symbol(gam, 1.5))
+    Tgs = quant.operator(adjoint_symbol(gam))
     rep = remainder_order(Tg.adjoint().apply, Tgs.apply, 2.0, gam.order,
                           grid, shells=range(3, 8), seed=2)
     assert rep["gain"] >= 1.25, rep

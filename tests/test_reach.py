@@ -1,0 +1,73 @@
+"""Static guard: no code of the package is reached from the tests alone.
+
+A function, method or class defined in ``src/capwave`` that the tests name,
+but that neither the package nor the benchmark harness names, is test
+scaffolding kept in the program: it belongs in the tests.  References are
+AST names, a bare name, an attribute or an imported name anywhere in a file
+(so a re-export such as the top-level ``capwave.multiplier`` counts), matched
+by name alone: a definition that shares its name with anything the program
+reads counts as reached.
+"""
+
+import ast
+from pathlib import Path
+
+import capwave
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted(Path(capwave.__file__).parent.glob("*.py"))
+HARNESS = sorted((ROOT / "perfbench").glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+
+# reached from the tests only, kept for the planned remainder-gain checks of
+# the paralinearization (the f1, f2, F and Bony residuals of ROADMAP item 3)
+ALLOWED = {
+    "measured_regularity": "fits the Sobolev gain of a remainder over its principal term",
+    "bony_residual": "the paralinearization defect F(a) - F(0) - T_F'(a) a",
+    "paraproduct_defect": "the defect ab - T_a b - T_b a of Bony's decomposition",
+}
+
+
+def definitions(source: str) -> set:
+    """Names of the functions, methods and classes ``source`` defines (no dunders)."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def references(source: str) -> set:
+    """Every bare, attribute and imported name that ``source`` uses."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def reached_from_tests_only(program: list, harness: list, tests: list) -> list:
+    """Names defined in ``program`` and referenced from ``tests`` alone."""
+    defined = set().union(*map(definitions, program))
+    reached = set().union(*map(references, program + harness))
+    tested = set().union(*map(references, tests))
+    return sorted((defined & tested) - reached)
+
+
+def test_guard_flags_a_helper_only_the_tests_reach():
+    program = ["def used():\n    pass\n\n\ndef helper():\n    pass\n\n\n"
+               "class Box:\n    def method(self):\n        return used()\n"]
+    tests = ["from m import Box, helper\nhelper()\nBox().method()\n"]
+    assert reached_from_tests_only(program, [], tests) == ["Box", "helper", "method"]
+    assert reached_from_tests_only(program, ["Box().method()\n"], tests) == ["helper"]
+
+
+def test_no_code_reached_from_the_tests_alone():
+    flagged = reached_from_tests_only([p.read_text() for p in PACKAGE],
+                                      [p.read_text() for p in HARNESS],
+                                      [p.read_text() for p in TESTS])
+    assert [name for name in flagged if name not in ALLOWED] == []
+    # an allowance the program no longer needs is dropped, not kept
+    assert sorted(ALLOWED) == [name for name in flagged if name in ALLOWED]

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gamma
 
+from capwave import smoothing
 from capwave.corpus import gaussian_packet, power_law_field
+from capwave.cutoffs import psi_cut
 from capwave.dno import Geometry
 from capwave.evolution import WaveState, run, symmetrized_residuals
 from capwave.field import Field, Grid, sobolev_norm
 from capwave.paradiff import Quantizer
 from capwave.smoothing import (
-    _f_limit,
+    EscapeSymbol,
     _f_primitive,
     _phi,
     af_identity_check,
@@ -21,6 +24,7 @@ from capwave.smoothing import (
     unweighted_integral,
 )
 from capwave.symbols import Symbol
+from capwave.verify import run_suite
 
 GRID = Grid(128, 16 * np.pi)
 GEO = Geometry("flat_bottom", 1.0)
@@ -32,6 +36,11 @@ def quad_primitive(sigma, delta):
     """f(sigma) = int_0^sigma <y>^(-1-delta) dy by adaptive quadrature (oracle path)."""
     return np.array([quad(lambda y: np.hypot(1.0, y) ** (-1.0 - delta), 0.0, s,
                           epsabs=1e-12, epsrel=1e-12)[0] for s in sigma])
+
+
+def f_limit(delta):
+    """f(infinity) = sqrt(pi) Gamma(delta/2) / (2 Gamma((1+delta)/2)), closed form."""
+    return float(np.sqrt(np.pi) * gamma(0.5 * delta) / (2.0 * gamma(0.5 * (1.0 + delta))))
 
 
 def reference_escape_values(xv, eps, delta):
@@ -51,7 +60,7 @@ def reference_escape_values(xv, eps, delta):
 def test_f_primitive_closed_form_matches_quadrature(grid, delta):
     sigma = np.abs(grid.x)
     assert np.max(np.abs(_f_primitive(sigma, delta) - quad_primitive(sigma, delta))) < 1e-12
-    assert abs(_f_limit(delta) - quad_primitive([np.inf], delta)[0]) < 1e-12
+    assert abs(f_limit(delta) - quad_primitive([np.inf], delta)[0]) < 1e-12
 
 
 def test_escape_validation():
@@ -65,15 +74,15 @@ def test_escape_at_origin():
     idx = np.argmin(np.abs(GRID.x))
     b = ESC.blocks()
     assert abs(b["psi0"][idx] - 1.0) < 1e-15
-    assert abs(ESC.values(1.0)[idx]) < 1e-15
+    assert abs(ESC.values()[idx]) < 1e-15
 
 
 def test_escape_far_field_monotone_to_limit():
     # as x -> +inf (xi > 0) the symbol increases to 2 eps + f(inf), which the
     # f-quadrature gives in closed approximation; on the truncated domain the
     # value is below the limit but already far above the transition scale
-    vals = ESC.values(1.0)
-    limit = ESC.far_field_limit()
+    vals = ESC.values()
+    limit = 2.0 * ESC.eps_doi + f_limit(DELTA)
     right = vals[GRID.x > 1.0]
     assert np.all(np.diff(right) >= -1e-12)
     assert right[-1] < limit
@@ -103,19 +112,21 @@ def test_escape_partition_and_sign_structure():
 
 
 def test_escape_odd_in_sign():
-    assert np.max(np.abs(ESC.values(1.0) + ESC.values(-1.0))) == 0.0
+    traces = ESC.symbol().principal
+    assert np.max(np.abs(traces[:, 0] - ESC.values())) == 0.0
+    assert np.max(np.abs(traces[:, 0] + traces[:, 1])) == 0.0
 
 
 def test_escape_values_match_reference():
     ref = reference_escape_values(GRID.x, ESC.eps_doi, DELTA)
-    assert np.max(np.abs(ESC.values(1.0) - ref)) < 1e-12
+    assert np.max(np.abs(ESC.values() - ref)) < 1e-12
 
 
 def test_escape_x_derivative_fd_oracle():
     h = 1e-6
     fd = (reference_escape_values(GRID.x + h, ESC.eps_doi, DELTA)
           - reference_escape_values(GRID.x - h, ESC.eps_doi, DELTA)) / (2 * h)
-    assert np.max(np.abs(ESC.x_derivative(1.0) - fd)) < 1e-8
+    assert np.max(np.abs(ESC.x_derivative() - fd)) < 1e-8
 
 
 def test_bound_check_flat_surface():
@@ -130,6 +141,28 @@ def test_bound_check_flat_surface():
     # I4 = (3/2) c <x>^(-1-delta) in the farfield region
     far = b["psip"] > 0.999
     assert np.max(np.abs(rep["i4"][far] - 1.5 * b["jx"][far] ** (-1.0 - DELTA))) < 1e-12
+
+
+def test_bound_check_reports_a_planted_negative_bracket(monkeypatch):
+    # one negated entry of a_x makes the bracket negative there: the bound is
+    # evaluated once, at the escape symbol's own eps_doi, and reports K <= 0
+    x_derivative = EscapeSymbol.x_derivative
+
+    def planted(self):
+        ax = x_derivative(self).copy()
+        ax[len(ax) // 2] *= -1.0
+        return ax
+
+    monkeypatch.setattr(EscapeSymbol, "x_derivative", planted)
+    calls = []
+    bracket_report = smoothing._bracket_report
+    monkeypatch.setattr(smoothing, "_bracket_report",
+                        lambda c, esc, xi: calls.append(esc) or bracket_report(c, esc, xi))
+    rep = bound_check(Field.zeros(GRID), ESC)
+    assert len(calls) == 1
+    assert rep["eps_doi"] == 0.05
+    assert rep["K_measured"] <= 0
+    assert "smoothing.doi_K_min" in run_suite("smoothing")["failures"]
 
 
 def test_bound_check_on_eta_corpus():
@@ -153,8 +186,7 @@ def test_scalar_reduce_linear_regime():
     quant = st.quantizer
     phi = symmetrized_residuals(st)["phi"]
     lhs = quant.operator(st.symmetrizer_symbols[2])(phi)
-    psi_c = quant.psi_cut(grid.xi)
-    rhs = Field.from_spectrum(grid, np.abs(grid.xi) ** 1.5 * psi_c * phi.spectrum)
+    rhs = Field.from_spectrum(grid, np.abs(grid.xi) ** 1.5 * psi_cut(grid.xi) * phi.spectrum)
     num = sobolev_norm(lhs - rhs, 0.0)
     den = sobolev_norm(rhs, 0.0)
     assert num <= 1e-3 * den  # O(amplitude) symbol correction

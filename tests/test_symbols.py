@@ -7,12 +7,12 @@ from capwave.dno import Geometry
 from capwave.field import Field, Grid, spectral_derivative, x_derivative
 from capwave.paradiff import compose
 from capwave.symbols import (
+    Mollifier,
     Symbol,
     curvature_symbol,
     dn_symbol,
     elliptic_weight,
     factorization,
-    mollifier_symbol,
     parametrix,
     poisson_bracket,
     seminorm,
@@ -116,7 +116,7 @@ def test_q_transport_equation():
     lam = dn_symbol(ETA)
     h = curvature_symbol(ETA)
     br1 = poisson_bracket(h, lam).principal_at(XI)
-    br2 = poisson_bracket(compose(h, lam, 1.0), q).principal_at(XI)
+    br2 = poisson_bracket(compose(h, lam), q).principal_at(XI)
     residual = 0.5 * br1 * q.principal_at(XI) - br2
     assert np.max(np.abs(residual)) < 1e-8
 
@@ -200,13 +200,13 @@ def test_factorization_reproduces_dn_symbol():
 
 
 def test_mollifier_eps_zero_is_one():
-    j = mollifier_symbol(ETA, 0.0)
+    j = Mollifier(symmetrizer(ETA)[2], 0.0)
     assert np.max(np.abs(j.principal_at(XI) - 1.0)) == 0.0
     assert np.max(np.abs(j.subprincipal_at(XI))) == 0.0
 
 
 def test_mollifier_flat_profile():
-    j = mollifier_symbol(Field.zeros(GRID), 0.3)
+    j = Mollifier(symmetrizer(Field.zeros(GRID))[2], 0.3)
     expected = np.exp(-0.3 * np.abs(XI) ** 1.5)[None, :]
     assert np.max(np.abs(j.principal_at(XI) - expected)) < 1e-14
 
@@ -214,13 +214,13 @@ def test_mollifier_flat_profile():
 def test_mollifier_commutes_with_gamma():
     _, _, gam = symmetrizer(ETA)
     for eps in (0.01, 0.1):
-        j = mollifier_symbol(ETA, eps)
+        j = Mollifier(gam, eps)
         assert np.max(np.abs(j.bracket_at(gam, XI))) < 1e-10
 
 
 def test_mollifier_principal_in_unit_interval():
     for eps in (0.0, 0.01, 0.1):
-        j = mollifier_symbol(ETA, eps)
+        j = Mollifier(symmetrizer(ETA)[2], eps)
         vals = j.principal_at(XI).real
         assert np.all(vals > 0) and np.all(vals <= 1.0)
 
@@ -228,13 +228,13 @@ def test_mollifier_principal_in_unit_interval():
 def test_mollifier_seminorm_uniformly_bounded():
     # uniform boundedness in the strengths the evolution actually uses
     for eps in (0.0, 0.01, 0.1):
-        j = mollifier_symbol(ETA, eps)
+        j = Mollifier(symmetrizer(ETA)[2], eps)
         assert seminorm(j, 0.0) <= 1.0 + 1e-9
 
 
 def test_mollifier_xi_derivatives_match_centered_difference():
     # the seminorm reads dxi of both parts; the mollifier's are closed form
-    j = mollifier_symbol(ETA, 0.1)
+    j = Mollifier(symmetrizer(ETA)[2], 0.1)
     step = 1e-4
     for part, dxi in ((j.principal_at, j.dxi_principal),
                       (j.subprincipal_at, j.dxi_subprincipal)):
