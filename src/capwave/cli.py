@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -18,10 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import gaussian_packet
-from .dno import Geometry, GeometryError
+from .dno import Geometry
 from .evolution import EvolutionAbort, WaveState, dispersion_fit, run, shared_quantizer
 from .field import Field, Grid
-from .smoothing import bound_check, build_escape, garding_fit, kato_integral
+from .smoothing import KATO_MIN_RECORDS, bound_check, build_escape, garding_fit, \
+    kato_integral, unweighted_integral
 from .verify import SUITES, run_suite
 
 __all__ = ["RunConfig", "parse_config", "run_simulate", "run_verify", "main"]
@@ -65,16 +67,11 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n < 8 or self.n % 2:
-            raise ConfigError("grid.n must be even and >= 8")
-        if self.length <= 0:
-            raise ConfigError("grid.length must be positive")
-        if self.kind not in ("flat_bottom", "parallel_strip"):
-            raise ConfigError(f"unknown geometry.kind {self.kind!r}")
-        if self.depth <= 0:
-            raise ConfigError("geometry.depth must be positive")
-        if self.g < 0 or self.kappa < 0:
-            raise ConfigError("geometry.g and geometry.kappa must be nonnegative")
+        try:  # Grid and Geometry check their own values
+            self.grid()
+            self.geometry
+        except ValueError as exc:  # GeometryError is a ValueError
+            raise ConfigError(str(exc)) from exc
         if self.profile not in ("cosine", "packet", "zero"):
             raise ConfigError(f"unknown init.profile {self.profile!r}")
         if self.profile == "cosine" and not 1 <= abs(self.mode) < self.n // 2:
@@ -93,6 +90,14 @@ class RunConfig:
             raise ConfigError("diagnostics.delta must be positive")
         if self.sample_stride < 1 or self.snapshot_stride < 0:
             raise ConfigError("strides must be positive")
+        # one record at t = 0, then one per sample_stride steps and the last
+        if 1 + math.ceil(self.n_steps / self.sample_stride) < KATO_MIN_RECORDS:
+            raise ConfigError(f"{self.n_steps} steps at this sample_stride give fewer than "
+                              f"the {KATO_MIN_RECORDS} records the Kato integral needs")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_final / self.dt))
 
     @property
     def geometry(self) -> Geometry:
@@ -175,7 +180,7 @@ def run_simulate(cfg: RunConfig) -> dict:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     state = cfg.initial_state()
-    n_steps = int(round(cfg.t_final / cfg.dt))
+    n_steps = cfg.n_steps
     t0 = time.time()
     try:
         traj = run(state, cfg.dt, n_steps, eps=cfg.epsilon,
@@ -226,7 +231,6 @@ def _smoothing_report(cfg: RunConfig, traj) -> dict:
     kato = kato_integral(traj)
     sweep = [{"n": cfg.n, "weighted": kato}]
     if len(traj.states) == len(traj.records):
-        from .smoothing import unweighted_integral
         sweep[0]["unweighted"] = unweighted_integral(traj)
     return {
         "delta": cfg.delta,
@@ -319,7 +323,7 @@ def main(argv=None) -> int:
     if args.command == "simulate":
         try:
             cfg = parse_config(args.config)
-        except (ConfigError, FileNotFoundError, GeometryError) as exc:
+        except (ConfigError, FileNotFoundError) as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
         try:
@@ -327,7 +331,7 @@ def main(argv=None) -> int:
         except EvolutionAbort as exc:
             print(f"runtime abort: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
-        except (ValueError, GeometryError) as exc:
+        except ValueError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
         print(json.dumps(summary, indent=1, sort_keys=True))

@@ -1,15 +1,13 @@
 """Dirichlet-Neumann operator via the flattened-strip elliptic problem.
 
-Two exact geometries are supported, both mapping the fluid layer onto the
-strip z in [-1, 0] where the transformed potential v solves a
-variable-coefficient elliptic equation with v = psi at z = 0:
-
-* ``flat_bottom(h0)``: layer between y = -h0 and y = eta(x), lifted by
-  rho(x, z) = (1+z) eta(x) + z h0; physical Neumann bottom gives
-  dv/dz = 0 at z = -1.
-* ``parallel_strip(h)``: layer between y = eta(x) - h and y = eta(x),
-  lifted by rho(x, z) = h z + eta(x); the bottom moves with eta and its
-  Neumann condition reads (1 + eta_x^2) dv/dz = h eta_x dv/dx at z = -1.
+Both geometries map the fluid layer onto the strip z in [-1, 0] by one
+lift, rho(x, z) = w(z) eta(x) + z depth, and differ only in the weight w:
+w = 1 + z for ``flat_bottom(h0)`` (layer over the fixed bottom y = -h0,
+w(-1) = 0) and w = 1 for ``parallel_strip(h)`` (layer of thickness h whose
+bottom moves with eta).  The transformed potential v solves a
+variable-coefficient elliptic equation with v = psi at z = 0 and the
+Neumann condition (1 + (w(-1) eta_x)^2) dv/dz = d w(-1) eta_x dv/dx at
+z = -1, where d = w' eta + depth is the local depth.
 
 Discretization: Fourier collocation in x, Chebyshev collocation in z.
 The solver is matrix-free GMRES with iterative refinement, left-
@@ -78,9 +76,13 @@ class SolverError(RuntimeError):
         self.iterations = iterations
 
 
+# w' of the lift weight w(z) = 1 + w' z, per geometry kind
+_LIFT_SLOPE = {"flat_bottom": 1.0, "parallel_strip": 0.0}
+
+
 @dataclass(frozen=True)
 class Geometry:
-    """Fluid-layer geometry plus the physical constants g and kappa."""
+    """Fluid-layer geometry plus g and kappa; the one place that knows the bottom."""
 
     kind: str  # "flat_bottom" | "parallel_strip"
     depth: float  # h0 for flat_bottom, strip thickness h for parallel_strip
@@ -88,7 +90,7 @@ class Geometry:
     kappa: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("flat_bottom", "parallel_strip"):
+        if self.kind not in _LIFT_SLOPE:
             raise GeometryError(f"unknown geometry kind {self.kind!r}")
         if self.depth <= 0:
             raise GeometryError("layer depth must be positive")
@@ -96,6 +98,23 @@ class Geometry:
             raise GeometryError("gravity must be nonnegative")
         if self.kappa < 0:
             raise GeometryError("surface tension must be nonnegative")
+
+    def lift(self, z):
+        """The weight w(z) of eta in the lift rho, and its slope w'."""
+        slope = _LIFT_SLOPE[self.kind]
+        return 1.0 + slope * z, slope
+
+    @property
+    def fixed_bottom(self) -> bool:
+        """w(-1) = 0: the bottom y = -depth does not move with eta."""
+        return self.lift(-1.0)[0] == 0.0
+
+    def local_depth(self, eta: Field) -> np.ndarray:
+        """d = d(rho)/dz = w' eta + depth; a layer with min d <= 0 is degenerate."""
+        d = _LIFT_SLOPE[self.kind] * eta.values.real + self.depth
+        if np.min(d) <= 0:
+            raise GeometryError(f"fluid layer degenerate: min local depth {np.min(d):.3e}")
+        return d
 
 
 def chebyshev(nz: int):
@@ -118,7 +137,6 @@ class _StripOperator:
     def __init__(self, eta: Field, geo: Geometry, nz: int):
         grid = eta.grid
         self.grid = grid
-        self.geo = geo
         self.nz = nz
         self.z, self.Dz = chebyshev(nz)
         self.Dz2 = self.Dz @ self.Dz
@@ -127,31 +145,19 @@ class _StripOperator:
         self._sym1 = 1j * xi
         self._sym1[-1] = 0.0
         self._sym2 = -xi**2
-        ex = eta.values.real
-        ex1 = x_derivative(eta).values.real
-        self.eta_x = ex1
-
-        zc = self.z[:, None]  # (nz, 1)
-        if geo.kind == "flat_bottom":
-            depth = geo.depth + ex  # dz rho, z-independent
-            if np.min(depth) <= 0:
-                raise GeometryError(
-                    f"fluid layer degenerate: min(h0 + eta) = {np.min(depth):.3e}"
-                )
-            b = ex1 / depth
-            bp = spectral_derivative(b, grid.xi)
-            self.czz = 1.0 / depth[None, :] ** 2 + (1.0 + zc) ** 2 * b[None, :] ** 2
-            self.cxz = -2.0 * (1.0 + zc) * b[None, :]
-            self.cz = (1.0 + zc) * (b[None, :] ** 2 - bp[None, :])
-            self.dz_rho_surface = depth
-        else:  # parallel_strip
-            h = geo.depth
-            ex2 = x_derivative(eta, 2).values.real
-            ones = np.ones((nz, 1))
-            self.czz = ones * ((1.0 + ex1**2) / h**2)[None, :]
-            self.cxz = ones * (-2.0 * ex1 / h)[None, :]
-            self.cz = ones * (-ex2 / h)[None, :]
-            self.dz_rho_surface = np.full(grid.n, h)
+        self.eta_x = ex1 = x_derivative(eta).values.real
+        w, wp = geo.lift(self.z[:, None])  # (nz, 1)
+        d = geo.local_depth(eta)  # dz rho, z-independent
+        b = ex1 / d
+        bp = spectral_derivative(b, grid.xi)
+        self.czz = 1.0 / d[None, :] ** 2 + w**2 * b[None, :] ** 2
+        self.cxz = -2.0 * w * b[None, :]
+        self.cz = w * (wp * b[None, :] ** 2 - bp[None, :])
+        self.dz_rho_surface = d
+        # bottom row: bottom_z dv/dz - bottom_x dv/dx at z = -1
+        w_bot = w[-1, 0]
+        self.bottom_z = 1.0 + (w_bot * ex1) ** 2
+        self.bottom_x = d * w_bot * ex1
 
     # -- operator application (interior rows + BC rows substituted) ------
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -164,10 +170,7 @@ class _StripOperator:
         vxx = np.fft.irfft(vh * self._sym2, n, axis=-1)
         out = self.czz * vzz + vxx + self.cxz * (self.Dz @ vx) + self.cz * vz
         out[0, :] = v[0, :]
-        if self.geo.kind == "flat_bottom":
-            out[-1, :] = vz[-1, :]
-        else:
-            out[-1, :] = (1.0 + self.eta_x**2) * vz[-1, :] - self.geo.depth * self.eta_x * vx[-1, :]
+        out[-1, :] = self.bottom_z * vz[-1, :] - self.bottom_x * vx[-1, :]
         return out
 
     def rhs(self, psi: Field) -> np.ndarray:
@@ -194,12 +197,8 @@ class _StripOperator:
         A[:n] = np.eye(n, nz * n)  # Dirichlet rows
         bot = (nz - 1) * n
         zrow = np.kron(self.Dz[-1, :], eye_f)  # (n, nz*n)
-        if self.geo.kind == "flat_bottom":
-            A[bot:, :] = zrow
-        else:
-            xrow = np.kron(np.eye(nz)[-1, :], Dx)
-            A[bot:, :] = (1.0 + self.eta_x**2)[:, None] * zrow \
-                - self.geo.depth * self.eta_x[:, None] * xrow
+        xrow = np.kron(np.eye(nz)[-1, :], Dx)
+        A[bot:, :] = self.bottom_z[:, None] * zrow - self.bottom_x[:, None] * xrow
         return A
 
 
@@ -434,10 +433,10 @@ def shape_derivative(eta: Field, psi: Field, h_dir: Field, geo: Geometry,
                      nz: int) -> Field:
     """Derivative of eta -> G(eta)psi in the direction h_dir (fixed bottom).
 
-    Only meaningful for flat_bottom: for the parallel strip the bottom moves
-    with eta and the fixed-bottom formula does not apply.
+    Only meaningful when ``geo.fixed_bottom``: a bottom that moves with eta
+    (parallel strip) breaks the fixed-bottom formula.
     """
-    if geo.kind != "flat_bottom":
+    if not geo.fixed_bottom:
         raise GeometryError("shape derivative requires a fixed bottom (flat_bottom)")
     g_psi = dirichlet_neumann(eta, psi, geo, nz)
     b_field, v_field = compute_B_V(eta, psi, g_psi)
@@ -448,7 +447,7 @@ def shape_derivative(eta: Field, psi: Field, h_dir: Field, geo: Geometry,
 
 def cancellation_residual(eta: Field, psi: Field, geo: Geometry, nz: int) -> float:
     """L^2 size of G(eta)B + d/dx V, which vanishes in the continuum limit."""
-    if geo.kind != "flat_bottom":
+    if not geo.fixed_bottom:
         raise GeometryError("cancellation identity requires a fixed bottom")
     g_psi = dirichlet_neumann(eta, psi, geo, nz)
     b_field, v_field = compute_B_V(eta, psi, g_psi)

@@ -97,10 +97,7 @@ class WaveState:
             self.validate()
 
     def validate(self):
-        if self.geo.kind == "flat_bottom":
-            depth = self.geo.depth + np.min(self.eta.values.real)
-            if depth <= 0:
-                raise GeometryError(f"fluid layer degenerate (min depth {depth:.3e})")
+        self.geo.local_depth(self.eta)  # raises GeometryError on a degenerate layer
         for name, f in (("eta", self.eta), ("psi", self.psi)):
             frac = band_tail_fraction(f)
             if frac > self.tail_tol:
@@ -567,9 +564,11 @@ def monitor(traj: Trajectory) -> dict:
 def time_derivatives(state: WaveState) -> dict:
     """Exact spatial-spectral time derivatives of the surface quantities.
 
-    d/dt of G(eta)psi follows from the shape-derivative identity applied
-    along the flow, so no time differencing is involved.
+    d/dt of G(eta)psi follows from the fixed-bottom shape-derivative
+    identity applied along the flow, so no time differencing is involved.
     """
+    if not state.geo.fixed_bottom:
+        raise GeometryError("time derivatives require a fixed bottom (flat_bottom)")
     eta_t, psi_t = zakharov_rhs(state)
     b, v = state.b_field, state.v_field
     arg = (psi_t - dealiased_product(b, eta_t)).real()

@@ -189,7 +189,9 @@ def remainder_order(op_a, op_b, mu: float, naive_order: float, grid: Grid,
     norm ideally decays like 2^(-j gain) where ``gain`` is the order gained
     over the naive composition order.  Returns the fitted gain and the raw
     shell data; shells at the noise floor ``PROBE_FLOOR`` (reported as
-    ``floor``) are excluded from the fit.
+    ``floor``) are excluded from the fit.  With fewer than 3 shells left
+    (``at_floor``, e.g. A == B) the gain is NaN, which fails every check
+    comparison, where inf would pass ">=".
     """
     rng = np.random.default_rng(seed)
     js, errs = [], []
@@ -201,22 +203,15 @@ def remainder_order(op_a, op_b, mu: float, naive_order: float, grid: Grid,
     js = np.array(js, dtype=float)
     errs = np.array(errs)
     usable = errs > PROBE_FLOOR
-    report = {
+    at_floor = np.count_nonzero(usable) < 3
+    return {
         "shells": [int(j) for j in js],
         "errors": [float(e) for e in errs],
         "floor": PROBE_FLOOR,
+        "at_floor": bool(at_floor),
+        "gain": float("nan") if at_floor
+        else -float(np.polyfit(js[usable], np.log2(errs[usable]), 1)[0]),
     }
-    if np.count_nonzero(usable) < 3:
-        # everything at machine floor: infinite measured gain (A == B)
-        report["gain"] = float("inf")
-        report["slope"] = float("-inf")
-        report["at_floor"] = True
-    else:
-        slope = float(np.polyfit(js[usable], np.log2(errs[usable]), 1)[0])
-        report["gain"] = -slope
-        report["slope"] = slope
-        report["at_floor"] = False
-    return report
 
 
 def bony_residual(fn, dfn, a: Field, quantizer: Quantizer) -> Field:

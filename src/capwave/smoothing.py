@@ -38,6 +38,9 @@ __all__ = [
     "af_identity_check",
 ]
 
+# the fewest trajectory records kato_integral integrates
+KATO_MIN_RECORDS = 4
+
 
 def _phi(y):
     """Increasing C-infinity step: 0 for y <= 1, 1 for y >= 2."""
@@ -181,7 +184,7 @@ def kato_integral(traj) -> float:
     (s, delta).
     """
     t = traj.times
-    if len(t) < 4:
+    if len(t) < KATO_MIN_RECORDS:
         raise ValueError("trajectory too short for a time integral")
     w = np.array([r.smoothing for r in traj.records])
     return float(np.trapezoid(w, t))

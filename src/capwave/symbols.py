@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dno import Geometry, GeometryError
 from .field import Field, Grid, spectral_derivative, x_derivative
 
 __all__ = [
@@ -83,7 +84,6 @@ class Symbol:
         self.principal = _traces(grid, principal)
         self.subprincipal = None if subprincipal is None else _traces(grid, subprincipal)
         self.name = name
-        self._grid_sample = None
 
     def principal_at(self, xi):
         return _homogeneous_at(self.principal, self.order, xi)
@@ -105,10 +105,8 @@ class Symbol:
         return _homogeneous_at(self.subprincipal, self.order - 1.0, xi, 1)
 
     def sample_grid(self) -> np.ndarray:
-        """Total symbol on (grid x) x (grid xi), cached."""
-        if self._grid_sample is None:
-            self._grid_sample = self.total_at(self.grid.xi)
-        return self._grid_sample
+        """Total symbol on (grid x) x (grid xi)."""
+        return self.total_at(self.grid.xi)
 
     # -- structural checks -------------------------------------------------
     def homogeneity_defect(self, xi) -> float:
@@ -165,7 +163,6 @@ class Mollifier(Symbol):
         self.shift = float(shift)
         self.name = name
         self._gamma = (gamma.order, gamma.principal.real)
-        self._grid_sample = None
 
     def _gamma_at(self, xi, derivatives=0):
         order, traces = self._gamma
@@ -288,12 +285,14 @@ def parametrix(eta: Field, p: Symbol) -> Symbol:
     return Symbol(eta.grid, -p.order, wm, wm_sub, name="parametrix")
 
 
-def factorization(eta: Field, geo) -> tuple[Symbol, Symbol]:
+def factorization(eta: Field, geo: Geometry) -> tuple[Symbol, Symbol]:
     """Symbols (a, A) factoring the strip operator into elliptic evolutions.
 
-    Built from the strip coefficients alpha = (1+eta_x^2)/h^2,
-    beta = -2 eta_x / h, gamma = eta_xx / h.
+    Built from the parallel-strip coefficients alpha = (1+eta_x^2)/h^2,
+    beta = -2 eta_x / h, gamma = eta_xx / h; a fixed bottom has others.
     """
+    if geo.fixed_bottom:
+        raise GeometryError("factorization requires a moving bottom (parallel_strip)")
     grid = eta.grid
     h = geo.depth
     e1, e2 = _slope_fields(eta)

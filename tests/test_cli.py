@@ -176,6 +176,10 @@ def test_runconfig_validation_direct():
         RunConfig(kind="slanted").validate()
     with pytest.raises(ConfigError):
         RunConfig(delta=0.0).validate()
+    # one record at t = 0 and three steps: the fewest the Kato integral takes
+    RunConfig(n=64, dt=0.01, t_final=0.03).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(n=64, dt=0.01, t_final=0.02).validate()
 
 
 @pytest.mark.parametrize("mode", [0, 32, 60, -32])
@@ -187,6 +191,20 @@ def test_out_of_band_mode_rejected_before_any_step(tmp_path, monkeypatch, mode):
     assert main(["simulate", str(path)]) == EXIT_VALIDATION
     assert steps == []
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("t_final, stride", [("0.02", 1), ("0.03", 2), ("0.004", 1)])
+def test_run_too_short_for_the_kato_integral_rejected_before_any_step(
+        tmp_path, monkeypatch, t_final, stride):
+    # fewer than KATO_MIN_RECORDS records: kato_integral would raise after the run
+    steps = []
+    monkeypatch.setattr(evolution, "step", lambda *a, **k: steps.append(a))
+    text = (BASE_CONFIG.replace("evolution.T = 0.5", f"evolution.T = {t_final}")
+            .replace("diagnostics.sample_stride = 2", f"diagnostics.sample_stride = {stride}"))
+    path = write_config(tmp_path, text, out_dir=tmp_path / "out")
+    assert main(["simulate", str(path)]) == EXIT_VALIDATION
+    assert steps == []
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
 def test_scheme_other_than_etdrk4_rejected_before_any_step(tmp_path, monkeypatch):

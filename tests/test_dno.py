@@ -19,7 +19,8 @@ from capwave.dno import (
     shape_derivative,
     solve_strip,
 )
-from capwave.field import Field, Grid, l2_inner, sobolev_norm, x_derivative
+from capwave.field import Field, Grid, l2_inner, sobolev_norm, spectral_derivative, \
+    x_derivative
 
 GRID = Grid(64, 2 * np.pi)
 FLAT = Geometry("flat_bottom", 1.0)
@@ -41,6 +42,38 @@ def test_degenerate_layer_rejected():
     eta = Field(GRID, -1.5 * np.ones(GRID.n))  # below the bottom at h0 = 1
     with pytest.raises(GeometryError):
         solve_strip(eta, cos_field(GRID, 1), FLAT, 16)
+
+
+def rel_dev(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("amp", [0.1, 0.5, 0.9])
+def test_strip_coefficients_match_the_closed_forms(amp):
+    """One lift, both bottoms: the coefficients each geometry used to spell out."""
+    eta = Field(GRID, amp * np.cos(GRID.x + 0.3))
+    ex, ex1 = eta.values, x_derivative(eta).values
+    v = np.random.default_rng(0).standard_normal((16, GRID.n))
+
+    # flat bottom, rho = (1+z) eta + z h0: bit-equal, bottom row dv/dz
+    op = dno._StripOperator(eta, FLAT, 16)
+    zc = op.z[:, None]
+    depth = FLAT.depth + ex
+    b = ex1 / depth
+    bp = spectral_derivative(b, GRID.xi)
+    assert np.array_equal(op.czz, 1.0 / depth[None, :] ** 2 + (1.0 + zc) ** 2 * b[None, :] ** 2)
+    assert np.array_equal(op.cxz, -2.0 * (1.0 + zc) * b[None, :])
+    assert np.array_equal(op.cz, (1.0 + zc) * (b[None, :] ** 2 - bp[None, :]))
+    assert np.array_equal(op.apply(v)[-1], (op.Dz @ v)[-1])
+
+    # parallel strip, rho = h z + eta: the eta_xx form to rounding
+    op = dno._StripOperator(eta, STRIP, 16)
+    h, ones = STRIP.depth, np.ones((16, 1))
+    assert rel_dev(op.czz, ones * (1.0 + ex1**2) / h**2) < 1e-12
+    assert rel_dev(op.cxz, ones * (-2.0 * ex1 / h)) < 1e-12
+    assert rel_dev(op.cz, ones * (-x_derivative(eta, 2).values / h)) < 1e-12
+    bottom = (1.0 + ex1**2) * (op.Dz @ v)[-1] - h * ex1 * spectral_derivative(v[-1], GRID.xi)
+    assert rel_dev(op.apply(v)[-1], bottom) < 1e-12
 
 
 def test_strip_separation_of_variables_oracle():

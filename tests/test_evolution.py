@@ -414,6 +414,16 @@ def test_time_derivative_of_dn_matches_flow_difference():
     assert np.max(np.abs(der["g_psi_t"].values - fd)) < 1e-6 * scale
 
 
+def test_time_derivatives_reject_a_moving_bottom():
+    # the shape-derivative identity behind g_psi_t holds for a fixed bottom
+    # only; on the parallel strip it read 1.6e-2 off a centred difference
+    eta = Field(GRID, 0.1 * np.cos(GRID.x))
+    psi = Field(GRID, 0.1 * np.sin(GRID.x) + 0.05 * np.cos(2 * GRID.x))
+    st = WaveState(0.0, eta, psi, Geometry("parallel_strip", 1.0), nz=32)
+    with pytest.raises(dno.GeometryError):
+        time_derivatives(st)
+
+
 def test_symmetrized_residual_smoother_than_principal_terms():
     grid = Grid(256, 2 * np.pi)
     rng = np.random.default_rng(31)

@@ -20,6 +20,7 @@ from capwave.paradiff import (
     shell_field,
 )
 from capwave.smoothing import build_escape
+from capwave.verify import _check
 from capwave.symbols import (
     Mollifier,
     Symbol,
@@ -322,7 +323,9 @@ def test_equal_operators_saturate_at_floor(probe_setup):
     Tg = quant.operator(gam)
     rep = remainder_order(Tg.apply, Tg.apply, 2.0, gam.order, grid,
                           shells=range(3, 8), seed=3)
-    assert rep["at_floor"] and rep["gain"] == float("inf")
+    assert rep["at_floor"] and np.isnan(rep["gain"])
+    # a probe that fits no gain fails its check instead of reading inf
+    assert not _check("calculus.probe", rep["gain"], 1.25, ">=")["pass"]
 
 
 def test_shell_out_of_band_rejected():

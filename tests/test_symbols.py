@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from capwave.dno import Geometry
+from capwave.dno import Geometry, GeometryError
 from capwave.field import Field, Grid, spectral_derivative, x_derivative
 from capwave.paradiff import compose
 from capwave.symbols import (
@@ -194,6 +194,13 @@ def test_factorization_reproduces_dn_symbol():
     lam = dn_symbol(ETA)
     rebuilt = (1.0 + SLOPE**2) / geo.depth * A_s.total_at(XI) - 1j * SLOPE * XI[None, :]
     assert np.max(np.abs(rebuilt - lam.total_at(XI))) < 1e-8
+
+
+def test_factorization_rejects_a_fixed_bottom():
+    # the factored coefficients are the parallel strip's; a flat bottom's
+    # strip operator has others
+    with pytest.raises(GeometryError):
+        factorization(ETA, Geometry("flat_bottom", 1.0))
 
 
 # -- mollifier and elliptic weight ----------------------------------------
