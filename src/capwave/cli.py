@@ -49,7 +49,6 @@ class RunConfig:
     profile: str = "cosine"  # cosine | packet | zero
     amplitude: float = 1e-4
     mode: int = 1
-    phase: float = 0.0
     sigma_eta: float = 3.85
     sigma_psi: float = 3.35
     width: float = 1.5
@@ -89,7 +88,8 @@ class RunConfig:
         if self.delta <= 0:
             raise ConfigError("diagnostics.delta must be positive")
         if self.sample_stride < 1 or self.snapshot_stride < 0:
-            raise ConfigError("strides must be positive")
+            raise ConfigError("diagnostics.sample_stride must be at least 1 and "
+                              "output.snapshot_stride at least 0")
         # one record at t = 0, then one per sample_stride steps and the last
         if 1 + math.ceil(self.n_steps / self.sample_stride) < KATO_MIN_RECORDS:
             raise ConfigError(f"{self.n_steps} steps at this sample_stride give fewer than "
@@ -113,8 +113,7 @@ class RunConfig:
             psi = Field.zeros(grid)
         elif self.profile == "cosine":
             eta = Field(grid, self.amplitude * np.cos(self.mode * 2 * np.pi
-                                                      * grid.x / grid.length
-                                                      + self.phase))
+                                                      * grid.x / grid.length))
             psi = Field.zeros(grid)
         else:  # packet
             eta = gaussian_packet(grid, self.sigma_eta, self.seed + 41,
@@ -135,7 +134,6 @@ _KEYMAP = {
     "init.profile": ("profile", str),
     "init.amplitude": ("amplitude", float),
     "init.mode": ("mode", int),
-    "init.phase": ("phase", float),
     "init.sigma_eta": ("sigma_eta", float),
     "init.sigma_psi": ("sigma_psi", float),
     "init.width": ("width", float),
@@ -205,8 +203,9 @@ def run_simulate(cfg: RunConfig) -> dict:
         "final_monitor": traj.records[-1].monitor,
     }
     if cfg.profile == "cosine" and cfg.amplitude > 0:
-        summary["dispersion"] = dispersion_fit(
-            [st for st in traj.states if st.t != 0.0], cfg.mode)
+        fit = dispersion_fit([st for st in traj.states if st.t != 0.0], cfg.mode)
+        if fit is not None:
+            summary["dispersion"] = fit
     summary["smoothing"] = _smoothing_report(cfg, traj)
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
@@ -229,15 +228,13 @@ def _smoothing_report(cfg: RunConfig, traj) -> dict:
     except ValueError as exc:
         garding = {"error": str(exc)}
     kato = kato_integral(traj)
-    sweep = [{"n": cfg.n, "weighted": kato}]
-    if len(traj.states) == len(traj.records):
-        sweep[0]["unweighted"] = unweighted_integral(traj)
     return {
         "delta": cfg.delta,
         "eps_doi": doi["eps_doi"],
         "K_measured": doi["K_measured"],
         "kato_integral": kato,
-        "resolution_sweep": sweep,
+        "resolution_sweep": [{"n": cfg.n, "weighted": kato,
+                              "unweighted": unweighted_integral(traj)}],
         "garding": garding,
     }
 

@@ -342,17 +342,16 @@ def diagonalize(state: WaveState) -> Field:
                                np.where(modes.linear_mask, wp / np.sqrt(2.0), 0.0))
 
 
-def dispersion_fit(states: list, mode: int) -> dict:
+def dispersion_fit(states: list, mode: int) -> dict | None:
     """Frequency of grid mode ``mode`` fitted from sampled states.
 
     The phase of the mode in the normal variable (:func:`diagonalize`) is
     fitted linearly in time and compared with the flat-mode table's linear
     dispersion relation omega^2 = (g + kappa xi^2) xi tanh(depth xi).  Fewer
-    than four states give NaN values and a note.
+    than four states give None: no fit is made.
     """
     if len(states) < 4:
-        return {"fitted": float("nan"), "predicted": float("nan"),
-                "rel_err": float("nan"), "note": "too few snapshots"}
+        return None
     grid = states[0].grid
     idx = int(np.where(grid.k == mode)[0][0])
     omega = float(_flat_modes(grid, states[0].geo).omega[idx])
@@ -460,29 +459,27 @@ def _etdrk4_step(state, dt, eps, coeff):
 
 @dataclass
 class DiagnosticRecord:
+    """One diagnostics sample; it carries both integrands of the smoothing pair."""
+
     t: float
     eta_norm: float  # H^(s+1/2)
     psi_norm: float  # H^s
     monitor: float  # running sup of the pair norm
     hamiltonian: float
     quadratic: float
-    smoothing: float  # weighted-norm integrand w(t)
-    mass: float  # integral of eta (kept in memory, not in the CSV schema)
+    smoothing: float  # weighted-norm integrand w(t) of the Kato integral
+    unweighted: float  # its companion ||eta||^2 in H^(s+3/4); in memory only
+    mass: float  # integral of eta; in memory only, not in the CSV schema
 
 
 @dataclass
 class Trajectory:
-    s: float
-    delta: float
     records: list = dataclass_field(default_factory=list)
     states: list = dataclass_field(default_factory=list)
 
     @property
     def times(self):
         return np.array([r.t for r in self.records])
-
-    def monitor_series(self):
-        return np.array([r.monitor for r in self.records])
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -502,15 +499,17 @@ def _record(state: WaveState, s: float, delta: float, running: float) \
     total, quad = hamiltonian(state)
     w = weighted_norm(state.eta, s + 0.75, delta) ** 2 \
         + weighted_norm(state.psi, s + 0.25, delta) ** 2
+    unweighted = sobolev_norm(state.eta, s + 0.75) ** 2
     mass = state.grid.length * float(np.mean(state.eta.values.real))
-    return DiagnosticRecord(state.t, en, pn, running, total, quad, w, mass), running
+    return DiagnosticRecord(state.t, en, pn, running, total, quad, w, unweighted,
+                            mass), running
 
 
 def run(state: WaveState, dt: float, n_steps: int, eps: float = 0.0,
         s: float = 2.6, delta: float = 0.1, sample_stride: int = 1,
         state_stride: int | None = None) -> Trajectory:
     """Integrate n_steps and collect diagnostics every sample_stride steps."""
-    traj = Trajectory(s=s, delta=delta)
+    traj = Trajectory()
     running = 0.0
     rec, running = _record(state, s, delta, running)
     traj.records.append(rec)
@@ -537,22 +536,18 @@ _JUMP_TOL = 0.10
 
 
 def monitor(traj: Trajectory) -> dict:
-    """A priori growth diagnostics of M(t) = running sup of the pair norm."""
+    """A priori growth of M(t) = running sup of the pair norm: M at both ends,
+    the largest mean rate (M(t) - M(0)) / t, and the jumps above _JUMP_TOL."""
     t = traj.times
-    m = traj.monitor_series()
+    m = np.array([r.monitor for r in traj.records])
     if len(t) < 2:
         raise ValueError("trajectory too short to monitor")
-    # affine envelope fit M(t) ~ intercept + rate * t
-    coeffs = np.polyfit(t, m, 1)
-    rate, intercept = float(coeffs[0]), float(coeffs[1])
     dt_pos = t[1:] - t[0]
     growth = (m[1:] - m[0]) / np.where(dt_pos > 0, dt_pos, 1.0)
     jumps = np.abs(np.diff(m)) > _JUMP_TOL * np.maximum(m[:-1], 1e-300)
     return {
         "m0": float(m[0]),
         "m_final": float(m[-1]),
-        "intercept": intercept,
-        "rate": rate,
         "max_growth_rate": float(np.max(growth)) if len(growth) else 0.0,
         "jump_flags": int(np.count_nonzero(jumps)),
     }
@@ -562,7 +557,7 @@ def monitor(traj: Trajectory) -> dict:
 
 
 def time_derivatives(state: WaveState) -> dict:
-    """Exact spatial-spectral time derivatives of the surface quantities.
+    """Exact spatial-spectral time derivatives of eta, psi, G(eta)psi and B.
 
     d/dt of G(eta)psi follows from the fixed-bottom shape-derivative
     identity applied along the flow, so no time differencing is involved.
@@ -583,9 +578,7 @@ def time_derivatives(state: WaveState) -> dict:
                 (ex_t.values * px.values + ex.values * px_t.values
                  + g_psi_t.values
                  - b.values * 2.0 * ex.values * ex_t.values) / w)
-    v_t = px_t - dealiased_product(b_t, ex) - dealiased_product(b, ex_t)
-    return {"eta_t": eta_t, "psi_t": psi_t, "g_psi_t": g_psi_t,
-            "b_t": b_t, "v_t": v_t}
+    return {"eta_t": eta_t, "psi_t": psi_t, "g_psi_t": g_psi_t, "b_t": b_t}
 
 
 def _symbol_time_derivative(eta: Field, eta_t: Field, tau: float = 1e-5):

@@ -135,22 +135,14 @@ def bound_check(eta: Field, esc: EscapeSymbol) -> dict:
     is the (x, xi) sample where the minimum sits.
     """
     mags = np.geomspace(0.5, max(2.0, esc.grid.xi_max), 50)
-    xi_samples = np.concatenate([mags, -mags])
+    xi = np.concatenate([mags, -mags])
     ex = x_derivative(eta).values.real
     c = (1.0 + ex**2) ** -0.75
-    report = _bracket_report(c, esc, xi_samples)
-    report["eps_doi"] = esc.eps_doi
-    report["delta"] = esc.delta
-    return report
-
-
-def _bracket_report(c: np.ndarray, esc: EscapeSymbol, xi_samples) -> dict:
     b = esc.blocks()
     jx, y = b["jx"], b["y"]
     eps = esc.eps_doi
     ax = esc.x_derivative()
     # bracket for xi > 0 equals (3/2) c |xi|^(1/2) d/dx a; even in sgn xi
-    xi = np.asarray(xi_samples, dtype=float)
     root = np.abs(xi) ** 0.5
     bracket = 1.5 * c[:, None] * root[None, :] * ax[:, None]
     weight = (jx ** (1.0 + esc.delta))[:, None] / root[None, :]
@@ -174,29 +166,27 @@ def _bracket_report(c: np.ndarray, esc: EscapeSymbol, xi_samples) -> dict:
         "sum_vs_direct": float(np.max(np.abs(i1 + i2 + i3 + i4 + i5 - direct))),
         "i3_plus_i5_min": float(np.min(i3 + i5)),
         "i1": i1, "i2": i2, "i4": i4,
+        "eps_doi": eps,
+        "delta": esc.delta,
     }
 
 
-def kato_integral(traj) -> float:
-    """Trapezoidal time integral of the weighted smoothing integrand.
-
-    The integrand is the one each record carries, at the trajectory's own
-    (s, delta).
-    """
+def _record_integral(traj, integrand: str) -> float:
+    """Trapezoidal time integral of one integrand that every record carries."""
     t = traj.times
     if len(t) < KATO_MIN_RECORDS:
         raise ValueError("trajectory too short for a time integral")
-    w = np.array([r.smoothing for r in traj.records])
-    return float(np.trapezoid(w, t))
+    return float(np.trapezoid([getattr(r, integrand) for r in traj.records], t))
+
+
+def kato_integral(traj) -> float:
+    """int w(t) dt of the weighted integrand the records carry, at the run's (s, delta)."""
+    return _record_integral(traj, "smoothing")
 
 
 def unweighted_integral(traj) -> float:
-    """Companion int ||eta||_{H^(s+3/4)}^2 dt without the weight, at the trajectory's s."""
-    if len(traj.states) != len(traj.records):
-        raise ValueError("need stored states for the unweighted integral")
-    t = traj.times
-    w = np.array([sobolev_norm(st.eta, traj.s + 0.75) ** 2 for st in traj.states])
-    return float(np.trapezoid(w, t))
+    """Companion int ||eta||_{H^(s+3/4)}^2 dt without the weight, from the records alone."""
+    return _record_integral(traj, "unweighted")
 
 
 def garding_fit(d_symbol: Symbol, delta: float, samples, quantizer: Quantizer) -> dict:

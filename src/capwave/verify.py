@@ -538,7 +538,7 @@ def kato_battery(seed: int = 0) -> list:
         eta0 = gaussian_packet(grid, s + 1.25, seed + 41, 1e-3)
         psi0 = gaussian_packet(grid, s + 0.75, seed + 42, 1e-3)
         st = WaveState(0.0, eta0, psi0, geo, nz=48, tail_tol=0.05)
-        traj = run(st, 2.5e-3, 800, s=s, delta=0.4, sample_stride=4, state_stride=4)
+        traj = run(st, 2.5e-3, 800, s=s, delta=0.4, sample_stride=4)
         weighted.append(kato_integral(traj))
         unweighted.append(unweighted_integral(traj))
     w_var = (max(weighted) - min(weighted)) / min(weighted)

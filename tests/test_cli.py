@@ -59,6 +59,9 @@ def test_parse_config_rejects_unknown_key(tmp_path):
     path = write_config(tmp_path, BASE_CONFIG + "\nbogus.key = 3\n")
     with pytest.raises(ConfigError):
         parse_config(path)
+    path = write_config(tmp_path, BASE_CONFIG + "\ninit.phase = 0.5\n", "b.cfg")
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(path)
 
 
 def test_parse_config_rejects_bad_values(tmp_path):
@@ -101,6 +104,24 @@ def test_simulate_artifacts_and_dispersion(tmp_path):
     smoothing = json.loads((out / "smoothing_report.json").read_text())
     assert smoothing["K_measured"] > 0
     assert smoothing["kato_integral"] >= 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_cosine_run_without_snapshots_writes_valid_json(tmp_path, capsys):
+    # one state past t = 0 is too few for a dispersion fit: the block is left
+    # out rather than written as bare NaN
+    out = tmp_path / "out"
+    path = write_config(tmp_path, BASE_CONFIG.replace("output.snapshot_stride = 5", ""),
+                        out_dir=out)
+    run_simulate(parse_config(path))
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+    assert "dispersion" not in summary
+    assert summary["smoothing"]["resolution_sweep"][0]["unweighted"] > 0
+    assert main(["report", str(out)]) == EXIT_OK
+    assert "nan" not in capsys.readouterr().out
 
 
 def test_simulate_deterministic(tmp_path):
@@ -180,6 +201,12 @@ def test_runconfig_validation_direct():
     RunConfig(n=64, dt=0.01, t_final=0.03).validate()
     with pytest.raises(ConfigError):
         RunConfig(n=64, dt=0.01, t_final=0.02).validate()
+    # the stride message states both rules; snapshot_stride = 0 stores no snapshots
+    for bad in ({"sample_stride": 0}, {"snapshot_stride": -1}):
+        with pytest.raises(ConfigError, match="sample_stride must be at least 1 and "
+                                              "output.snapshot_stride at least 0"):
+            RunConfig(n=64, **bad).validate()
+    RunConfig(n=64, snapshot_stride=0).validate()
 
 
 @pytest.mark.parametrize("mode", [0, 32, 60, -32])

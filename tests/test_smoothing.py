@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma
 
-from capwave import smoothing
 from capwave.corpus import gaussian_packet, power_law_field
 from capwave.cutoffs import psi_cut
 from capwave.dno import Geometry
@@ -147,17 +146,15 @@ def test_bound_check_reports_a_planted_negative_bracket(monkeypatch):
     # one negated entry of a_x makes the bracket negative there: the bound is
     # evaluated once, at the escape symbol's own eps_doi, and reports K <= 0
     x_derivative = EscapeSymbol.x_derivative
+    calls = []
 
     def planted(self):
+        calls.append(self)
         ax = x_derivative(self).copy()
         ax[len(ax) // 2] *= -1.0
         return ax
 
     monkeypatch.setattr(EscapeSymbol, "x_derivative", planted)
-    calls = []
-    bracket_report = smoothing._bracket_report
-    monkeypatch.setattr(smoothing, "_bracket_report",
-                        lambda c, esc, xi: calls.append(esc) or bracket_report(c, esc, xi))
     rep = bound_check(Field.zeros(GRID), ESC)
     assert len(calls) == 1
     assert rep["eps_doi"] == 0.05
@@ -273,6 +270,25 @@ def test_weighted_integral_bounded_by_sup_norms(packet_states):
     t_final = coarse.times[-1]
     assert total <= 5.0 * sup_pair * t_final
     assert unweighted_integral(coarse) > 0
+
+
+def test_unweighted_integral_equals_the_stored_state_formula(packet_states):
+    # one stored state per record: the records' integrand is the norm the
+    # stored states give, so the integral matches bit for bit
+    coarse, _ = packet_states
+    assert len(coarse.states) == len(coarse.records)
+    w = np.array([sobolev_norm(st.eta, 2.6 + 0.75) ** 2 for st in coarse.states])
+    assert unweighted_integral(coarse) == float(np.trapezoid(w, coarse.times))
+
+
+def test_unweighted_integral_needs_no_stored_states():
+    eta0 = gaussian_packet(GRID, 3.85, 21, 1e-3)
+    psi0 = gaussian_packet(GRID, 3.35, 22, 1e-3)
+    st = WaveState(0.0, eta0, psi0, GEO, nz=32, tail_tol=0.05)
+    traj = run(st, 5e-3, 12, s=2.6, delta=DELTA, sample_stride=4)
+    assert len(traj.states) == 2 < len(traj.records)
+    total = unweighted_integral(traj)
+    assert np.isfinite(total) and total > 0
 
 
 def test_doi_bound_along_trajectory(packet_states):
