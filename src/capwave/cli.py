@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,34 +38,43 @@ class ConfigError(ValueError):
     pass
 
 
+def _key(key: str, default):
+    """A RunConfig field read from the dotted config ``key``, cast to the type of ``default``."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass
 class RunConfig:
-    n: int = 128
-    length: float = 2 * np.pi
-    kind: str = "flat_bottom"
-    depth: float = 1.0
-    g: float = 1.0
-    kappa: float = 1.0
-    profile: str = "cosine"  # cosine | packet | zero
-    amplitude: float = 1e-4
-    mode: int = 1
-    sigma_eta: float = 3.85
-    sigma_psi: float = 3.35
-    width: float = 1.5
-    scheme: str = "etdrk4"
-    dt: float = 5e-3
-    t_final: float = 1.0
-    epsilon: float = 0.0
-    nz: int = 32
-    s: float = 2.6
-    delta: float = 0.1
-    sample_stride: int = 1
-    snapshot_stride: int = 0
-    tail_tol: float = 1e-6
-    out_dir: str = "out"
-    seed: int = 0
+    n: int = _key("grid.n", 128)
+    length: float = _key("grid.length", 2 * np.pi)
+    kind: str = _key("geometry.kind", "flat_bottom")
+    depth: float = _key("geometry.depth", 1.0)
+    g: float = _key("geometry.g", 1.0)
+    kappa: float = _key("geometry.kappa", 1.0)
+    profile: str = _key("init.profile", "cosine")  # cosine | packet | zero
+    amplitude: float = _key("init.amplitude", 1e-4)
+    mode: int = _key("init.mode", 1)
+    sigma_eta: float = _key("init.sigma_eta", 3.85)
+    sigma_psi: float = _key("init.sigma_psi", 3.35)
+    width: float = _key("init.width", 1.5)
+    scheme: str = _key("evolution.scheme", "etdrk4")
+    dt: float = _key("evolution.dt", 5e-3)
+    t_final: float = _key("evolution.T", 1.0)
+    epsilon: float = _key("evolution.epsilon", 0.0)
+    nz: int = _key("evolution.nz", 32)
+    s: float = _key("diagnostics.s", 2.6)
+    delta: float = _key("diagnostics.delta", 0.1)
+    sample_stride: int = _key("diagnostics.sample_stride", 1)
+    snapshot_stride: int = _key("output.snapshot_stride", 0)
+    tail_tol: float = _key("diagnostics.tail_tol", 1e-6)
+    out_dir: str = _key("output.dir", "out")
+    seed: int = _key("seed", 0)
 
     def validate(self) -> None:
+        for key, f in _KEYMAP.items():
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         try:  # Grid and Geometry check their own values
             self.grid()
             self.geometry
@@ -124,32 +133,8 @@ class RunConfig:
                          tail_tol=self.tail_tol)
 
 
-_KEYMAP = {
-    "grid.n": ("n", int),
-    "grid.length": ("length", float),
-    "geometry.kind": ("kind", str),
-    "geometry.depth": ("depth", float),
-    "geometry.g": ("g", float),
-    "geometry.kappa": ("kappa", float),
-    "init.profile": ("profile", str),
-    "init.amplitude": ("amplitude", float),
-    "init.mode": ("mode", int),
-    "init.sigma_eta": ("sigma_eta", float),
-    "init.sigma_psi": ("sigma_psi", float),
-    "init.width": ("width", float),
-    "evolution.scheme": ("scheme", str),
-    "evolution.dt": ("dt", float),
-    "evolution.T": ("t_final", float),
-    "evolution.epsilon": ("epsilon", float),
-    "evolution.nz": ("nz", int),
-    "diagnostics.s": ("s", float),
-    "diagnostics.delta": ("delta", float),
-    "diagnostics.sample_stride": ("sample_stride", int),
-    "diagnostics.tail_tol": ("tail_tol", float),
-    "output.dir": ("out_dir", str),
-    "output.snapshot_stride": ("snapshot_stride", int),
-    "seed": ("seed", int),
-}
+# dotted config key -> RunConfig field
+_KEYMAP = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 
 def parse_config(path) -> RunConfig:
@@ -164,9 +149,9 @@ def parse_config(path) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYMAP:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        attr, cast = _KEYMAP[key]
+        f = _KEYMAP[key]
         try:
-            setattr(cfg, attr, cast(value))
+            setattr(cfg, f.name, type(f.default)(value))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
     cfg.validate()
@@ -197,7 +182,7 @@ def run_simulate(cfg: RunConfig) -> dict:
                 json.dump(snap, fh)
 
     summary = {
-        "config": {k: getattr(cfg, attr) for k, (attr, _) in _KEYMAP.items()},
+        "config": {k: getattr(cfg, f.name) for k, f in _KEYMAP.items()},
         "steps": n_steps,
         "elapsed_s": round(time.time() - t0, 3),
         "final_monitor": traj.records[-1].monitor,

@@ -9,14 +9,15 @@ variable-coefficient elliptic equation with v = psi at z = 0 and the
 Neumann condition (1 + (w(-1) eta_x)^2) dv/dz = d w(-1) eta_x dv/dx at
 z = -1, where d = w' eta + depth is the local depth.
 
-Discretization: Fourier collocation in x, Chebyshev collocation in z.
-The solver is matrix-free GMRES with iterative refinement, left-
-preconditioned by M = P_h^-1 S: P_h^-1 inverts the flat-interface operator at
-the layer's harmonic-mean depth h through one cached diagonalization per nz,
-and S scales the interior rows by the local depth over h.  Every refinement
-cycle aims at _TOL ||M b||, and refinement stops early once a cycle
-stagnates.  A dense assembly of the same discrete operator is kept as an
-oracle path.
+Discretization: Fourier collocation in x (``field.derivative_symbol``),
+Chebyshev collocation in z.  The solver is matrix-free GMRES with iterative
+refinement, left-preconditioned by M = P_h^-1 S: P_h^-1 inverts the
+flat-interface operator at the layer's harmonic-mean depth h through the
+diagonalization in the strip table (built once per nz with the z-nodes, D_z
+and D_z^2), and S scales the interior rows by the local depth over h.
+Every refinement cycle aims at _TOL ||M b||, and refinement stops early once
+a cycle stagnates.  A dense assembly of the same discrete operator is kept
+as an oracle path.
 psi must be real, as every surface trace of the reduction is.  The GMRES
 kernel works in real arithmetic (real FFTs, classical Gram-Schmidt with one
 reorthogonalization pass).
@@ -25,13 +26,14 @@ reorthogonalization pass).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .field import CACHE_MAXSIZE, Field, dealiased_product, sobolev_norm, \
-    spectral_derivative, x_derivative
+from .field import CACHE_MAXSIZE, Field, dealiased_product, derivative_symbol, \
+    sobolev_norm, spectral_derivative, x_derivative
 
 __all__ = [
     "Geometry",
@@ -92,11 +94,11 @@ class Geometry:
     def __post_init__(self):
         if self.kind not in _LIFT_SLOPE:
             raise GeometryError(f"unknown geometry kind {self.kind!r}")
-        if self.depth <= 0:
+        if not self.depth > 0:  # negated comparisons: NaN fails them
             raise GeometryError("layer depth must be positive")
-        if self.g < 0:
+        if not self.g >= 0:
             raise GeometryError("gravity must be nonnegative")
-        if self.kappa < 0:
+        if not self.kappa >= 0:
             raise GeometryError("surface tension must be nonnegative")
 
     def lift(self, z):
@@ -138,13 +140,12 @@ class _StripOperator:
         grid = eta.grid
         self.grid = grid
         self.nz = nz
-        self.z, self.Dz = chebyshev(nz)
-        self.Dz2 = self.Dz @ self.Dz
-        # half-spectrum derivative symbols for rfft; Nyquist zeroed when odd
-        xi = np.abs(grid.xi[: grid.n // 2 + 1])
-        self._sym1 = 1j * xi
-        self._sym1[-1] = 0.0
-        self._sym2 = -xi**2
+        self.table = _strip_table(nz)
+        self.z, self.Dz, self.Dz2 = self.table.z, self.table.Dz, self.table.Dz2
+        # the derivative symbols on the rfft half spectrum
+        half = grid.n // 2 + 1
+        self._sym1 = derivative_symbol(grid.xi, 1)[:half]
+        self._sym2 = derivative_symbol(grid.xi, 2)[:half]
         self.eta_x = ex1 = x_derivative(eta).values.real
         w, wp = geo.lift(self.z[:, None])  # (nz, 1)
         d = geo.local_depth(eta)  # dz rho, z-independent
@@ -183,11 +184,8 @@ class _StripOperator:
         grid, nz = self.grid, self.nz
         n = grid.n
         eye_f = np.eye(n)
-        fx = np.fft.fft(eye_f, axis=0)
-        sym1 = (1j * grid.xi).copy()
-        sym1[n // 2] = 0.0
-        Dx = np.fft.ifft(sym1[:, None] * fx, axis=0).real
-        Dx2 = np.fft.ifft((-(grid.xi**2))[:, None] * fx, axis=0).real
+        Dx = spectral_derivative(eye_f, grid.xi, 1, axis=0)
+        Dx2 = spectral_derivative(eye_f, grid.xi, 2, axis=0)
         A = (
             np.diag(self.czz.ravel()) @ np.kron(self.Dz2, eye_f)
             + np.kron(np.eye(nz), Dx2)
@@ -202,23 +200,32 @@ class _StripOperator:
         return A
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
-def _flat_eigensystem(nz):
-    """Diagonalization of the flat strip operator, shared by every depth and mode.
+_StripTable = namedtuple("_StripTable", "z Dz Dz2 left lam right")
 
-    B is Dz^2 on the interior rows plus the Dirichlet (z = 0) and Neumann
-    (z = -1) rows, and E projects onto the interior rows.  Returns
-    (W^-1 B^-1, lam, W) with B^-1 E = W diag(lam) W^-1; lam is real and <= 0.
+
+@lru_cache(maxsize=CACHE_MAXSIZE)
+def _strip_table(nz) -> _StripTable:
+    """The z-side tables of one nz, shared by every strip operator and depth.
+
+    z and Dz are the Chebyshev nodes and derivative, Dz2 = Dz @ Dz.  The flat
+    strip operator is diagonalized once: B is Dz2 on the interior rows plus
+    the Dirichlet (z = 0) and Neumann (z = -1) rows, E projects onto the
+    interior rows, and B^-1 E = W diag(lam) W^-1 with lam real and <= 0;
+    ``left`` is W^-1 B^-1 and ``right`` is W.  Every array is read-only.
     """
-    _, Dz = chebyshev(nz)
-    base = Dz @ Dz
+    z, Dz = chebyshev(nz)
+    Dz2 = Dz @ Dz
+    base = Dz2.copy()
     base[0] = np.eye(nz)[0]
     base[-1] = Dz[-1]
     binv = np.linalg.inv(base)
     lam, w = np.linalg.eig(binv * np.r_[0.0, np.ones(nz - 2), 0.0])
     if np.iscomplexobj(lam):
         raise ValueError(f"flat strip operator has complex modes at nz={nz}")
-    return np.linalg.solve(w, binv), lam, w
+    arrays = (z, Dz, Dz2, np.linalg.solve(w, binv), lam, w)
+    for a in arrays:
+        a.flags.writeable = False
+    return _StripTable(*arrays)
 
 
 class _Preconditioner:
@@ -234,9 +241,9 @@ class _Preconditioner:
     def __init__(self, op: _StripOperator):
         d = op.dz_rho_surface
         self.depth = h = float(1.0 / np.mean(1.0 / d))
-        self.left, lam, self.right = _flat_eigensystem(op.nz)
-        xi2 = op.grid.xi[: op.grid.n // 2 + 1] ** 2
-        self.gain = 1.0 / (1.0 - (h * h * lam)[:, None] * xi2[None, :])
+        self.left, self.right = op.table.left, op.table.right
+        # xi^2 is minus the operator's own d^2/dx^2 symbol
+        self.gain = 1.0 / (1.0 + (h * h * op.table.lam)[:, None] * op._sym2[None, :])
         self.row_scale = d * h  # S, then the h^2 of the interior rows
 
     def __call__(self, w: np.ndarray) -> np.ndarray:

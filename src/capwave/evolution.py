@@ -32,6 +32,7 @@ from .field import (
     Grid,
     band_tail_fraction,
     dealiased_product,
+    derivative_symbol,
     evaluate_refined,
     l2_inner,
     sobolev_norm,
@@ -100,7 +101,7 @@ class WaveState:
         self.geo.local_depth(self.eta)  # raises GeometryError on a degenerate layer
         for name, f in (("eta", self.eta), ("psi", self.psi)):
             frac = band_tail_fraction(f)
-            if frac > self.tail_tol:
+            if not frac <= self.tail_tol:  # NaN fails too
                 raise ValueError(
                     f"{name} spectral tail {frac:.2e} above the dealiasing "
                     f"threshold {self.tail_tol:.1e}")
@@ -297,11 +298,10 @@ class _FlatModes:
 
     def __init__(self, grid: Grid, geo: Geometry):
         omega_g = flat_dn_multiplier(geo, grid.xi)
-        # the discrete curvature operator is built from first derivatives and
-        # therefore annihilates the Nyquist mode; the linear model must match
-        # or the mismatch is integrated explicitly and blows up
-        xi2 = grid.xi**2
-        xi2 = np.where(np.arange(grid.n) == grid.n // 2, 0.0, xi2)
+        # xi^2 = -D1^2: the discrete curvature is built from first derivatives,
+        # so the linear model takes their Nyquist rule, or the mismatch is
+        # integrated explicitly and blows up
+        xi2 = -(derivative_symbol(grid.xi, 1) ** 2).real
         stiff = geo.g + geo.kappa * xi2
         self.omega = np.sqrt(omega_g * stiff)
         self.linear_mask = (omega_g > 0) & (stiff > 0)

@@ -14,6 +14,9 @@ so that the discrete Parseval identity reads  sum_j |u_j|^2 * (L/n)
     sobolev_norm(u, s)^2 = L * sum_k (1 + xi_k^2)^s |c_k|^2,
 
 which for s = 0 coincides with the trapezoidal L^2 quadrature on the grid.
+Every spectral reader takes the transform to c_k from
+:func:`series_coefficients` and the symbol of d^k/dx^k from
+:func:`derivative_symbol`.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ __all__ = [
     "band_tail_fraction",
 ]
 
-# maxsize of the package's lru caches (the flat-interface eigensystem of the
-# DN preconditioner, one per nz; the shared quantizer, one per grid; the
-# flat-mode table, one per grid and geometry; the ETDRK4 coefficients): every
-# key a simulate run or a single verify suite reuses stays resident
+# maxsize of the package's lru caches (the DN strip table, one per nz; the
+# shared quantizer, one per grid; the flat-mode table, one per grid and
+# geometry; the ETDRK4 coefficients): every key a simulate run or a single
+# verify suite reuses stays resident
 CACHE_MAXSIZE = 16
 
 
@@ -45,7 +48,7 @@ class Grid:
     def __init__(self, n: int, length: float):
         if n < 8 or n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 8, got {n}")
-        if length <= 0:
+        if not length > 0:  # NaN fails too
             raise ValueError(f"period must be positive, got {length}")
         self.n = int(n)
         self.length = float(length)
@@ -104,7 +107,7 @@ class Field:
     def spectrum(self) -> np.ndarray:
         """Fourier-series coefficients c_k (numpy fft ordering)."""
         if self._spectrum is None:
-            self._spectrum = np.fft.fft(self.values) * self.grid._phase / self.grid.n
+            self._spectrum = series_coefficients(self.values, self.grid)
         return self._spectrum
 
     @property
@@ -174,20 +177,36 @@ def multiplier(u: Field, m) -> Field:
     return Field.from_spectrum(u.grid, mv * u.spectrum)
 
 
-def spectral_derivative(samples: np.ndarray, xi: np.ndarray, order: int = 1,
-                        axis: int = -1) -> np.ndarray:
-    """d^order/dx^order of periodic samples along ``axis``, by the symbol (i xi)^order.
+def series_coefficients(samples: np.ndarray, grid: Grid, axis: int = -1) -> np.ndarray:
+    """Fourier-series coefficients c_k of periodic samples along ``axis``.
+
+    The numpy transform times (-1)^k (the grid starts at x_0 = -L/2) over n.
+    """
+    shape = [1] * np.ndim(samples)
+    shape[axis] = grid.n
+    return np.fft.fft(samples, axis=axis) * grid._phase.reshape(shape) / grid.n
+
+
+def derivative_symbol(xi: np.ndarray, order: int) -> np.ndarray:
+    """The symbol (i xi)^order of d^order/dx^order, real for even orders.
 
     ``xi`` holds the grid frequencies in numpy fft ordering.  Odd orders zero
-    the Nyquist mode, whose derivative has no real representation on the
-    grid.  Real samples give a real result.
+    the Nyquist mode, whose derivative has no real representation on the grid.
     """
     sym = (1j * xi) ** order
-    if order % 2 == 1:
-        sym[len(xi) // 2] = 0.0
+    if order % 2 == 0:
+        return sym.real
+    sym[len(xi) // 2] = 0.0
+    return sym
+
+
+def spectral_derivative(samples: np.ndarray, xi: np.ndarray, order: int = 1,
+                        axis: int = -1) -> np.ndarray:
+    """d^order/dx^order of periodic samples along ``axis``; real samples give a real result."""
     shape = [1] * np.ndim(samples)
     shape[axis] = len(xi)
-    out = np.fft.ifft(np.fft.fft(samples, axis=axis) * sym.reshape(shape), axis=axis)
+    sym = derivative_symbol(xi, order).reshape(shape)
+    out = np.fft.ifft(np.fft.fft(samples, axis=axis) * sym, axis=axis)
     return out.real if np.isrealobj(samples) else out
 
 
@@ -259,12 +278,8 @@ def evaluate_refined(u: Field) -> tuple[np.ndarray, np.ndarray]:
     """Values of the trigonometric interpolant on the 2x refined grid (x, u(x))."""
     n = u.grid.n
     m = 2 * n
-    pu = _pad_spectrum(u.spectrum, n, m)
-    fine = Grid(m, u.grid.length)
-    vals = np.fft.ifft(pu / fine._phase * m)
-    if u.is_real:
-        vals = vals.real
-    return fine.x, vals
+    fine = Field.from_spectrum(Grid(m, u.grid.length), _pad_spectrum(u.spectrum, n, m))
+    return fine.grid.x, fine.values.real if u.is_real else fine.values
 
 
 def band_tail_fraction(u: Field) -> float:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cutoffs import chi_profile, psi_cut, smooth_step
-from .field import Field, Grid, sobolev_norm, spectral_derivative
+from .field import Field, Grid, series_coefficients, sobolev_norm, spectral_derivative
 from .symbols import SIGNS, Mollifier, Symbol, sub_traces
 
 __all__ = [
@@ -97,8 +97,7 @@ class Quantizer:
             index = self._sign_index
         entries = 0.0
         for sample, weight in plan:
-            # x-transform of each sampled column (series coefficients)
-            ahat = np.fft.fft(sample, axis=0) * self.grid._phase[:, None] / self.grid.n
+            ahat = series_coefficients(sample, self.grid, axis=0)
             entries = entries + np.take(ahat, index) * weight
         out = np.zeros((self.grid.n, self.grid.n), dtype=complex)
         out.flat[self._support] = self._cut * entries

@@ -374,7 +374,7 @@ def _suite_smoothing(seed: int, timings: dict) -> list:
                         - np.sign(y) * _phi(np.abs(y) / esc.eps_doi)))
     checks.append(_check("smoothing.sign_structure", odd, 1e-12))
 
-    # Doi bound over the eta corpus, 1e4-point phase-space sample each
+    # Doi bound over the eta corpus, one value per grid point x each
     worst_k = np.inf
     worst_sum = 0.0
     worst_sign = 0.0

@@ -193,7 +193,7 @@ def test_criterion_10_monitor(monitor_checks):
 def test_criterion_11_doi_bound(smoothing_suite):
     k_min = by_name(smoothing_suite["checks"], "smoothing.doi_K_min")
     sign = by_name(smoothing_suite["checks"], "smoothing.doi_sign_terms")
-    emit(11, "Doi bracket bound over the eta corpus (1e4-point samples)",
+    emit(11, "Doi bracket bound over the eta corpus (every grid point x)",
          k_min["pass"] and sign["pass"],
          f"K_measured {k_min['measured']:.3f} > 0, "
          f"min(I3+I5) {sign['measured']:.1e} >= 0")

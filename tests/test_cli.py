@@ -2,7 +2,7 @@
 
 import json
 
-
+import numpy as np
 import pytest
 
 from capwave import evolution
@@ -243,3 +243,26 @@ def test_scheme_other_than_etdrk4_rejected_before_any_step(tmp_path, monkeypatch
     assert main(["simulate", str(path)]) == EXIT_VALIDATION
     assert steps == []
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("override", [
+    "init.amplitude = nan",
+    "geometry.kappa = inf",
+    "init.profile = packet\ninit.width = 0",
+    "evolution.dt = nan",
+    "evolution.T = inf",
+    "grid.length = nan",
+])
+def test_non_finite_values_rejected_before_any_step(tmp_path, monkeypatch, capsys, override):
+    # a NaN passes every "<= 0" test; each case is a configuration error, not a
+    # one-step run that aborts, and not a traceback from the step count
+    steps = []
+    monkeypatch.setattr(evolution, "step", lambda *a, **k: steps.append(a))
+    out = tmp_path / "out"
+    path = write_config(tmp_path, BASE_CONFIG + override + "\n", out_dir=out)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert main(["simulate", str(path)]) == EXIT_VALIDATION
+    assert "configuration error" in capsys.readouterr().err
+    assert steps == []
+    assert not (out / "trajectory.csv").exists()
+    assert not (out / "abort.marker").exists()

@@ -36,6 +36,10 @@ def test_geometry_validation():
         Geometry("flat_bottom", -1.0)
     with pytest.raises(GeometryError):
         Geometry("sloped", 1.0)
+    nan = float("nan")
+    for bad in ({"depth": nan}, {"g": nan}, {"kappa": nan}):
+        with pytest.raises(GeometryError):
+            Geometry("flat_bottom", **{"depth": 1.0, **bad})
 
 
 def test_degenerate_layer_rejected():
@@ -181,6 +185,22 @@ def test_preconditioner_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_strip_table_is_built_once_per_nz(monkeypatch):
+    # z, D_z, D_z^2 and the flat diagonalization of one nz come from one table
+    calls = []
+    chebyshev = dno.chebyshev
+    monkeypatch.setattr(dno, "chebyshev", lambda nz: calls.append(nz) or chebyshev(nz))
+    dno._strip_table.cache_clear()
+    eta, psi = cos_field(GRID, 1, 0.3), cos_field(GRID, 2)
+    first = solve_strip(eta, psi, FLAT, 16)
+    second = solve_strip(eta, psi, STRIP, 16)
+    assert calls == [16]
+    assert first.operator.Dz2 is second.operator.Dz2
+    table = dno._strip_table(16)
+    assert not any(a.flags.writeable for a in (table.z, table.Dz, table.Dz2, table.left,
+                                               table.lam, table.right))
 
 
 @pytest.mark.parametrize("geo", [FLAT, STRIP])

@@ -65,13 +65,13 @@ def test_raw_run_builds_no_quantizer(monkeypatch):
 
 
 def test_caches_are_bounded_lrus():
-    caches = (evolution.shared_quantizer, dno._flat_eigensystem,
+    caches = (evolution.shared_quantizer, dno._strip_table,
               evolution._flat_modes, evolution._etdrk4_coefficients)
     assert all(c.cache_info().maxsize == CACHE_MAXSIZE for c in caches)
     grids = [Grid(8 + 2 * i, 2 * np.pi) for i in range(CACHE_MAXSIZE + 1)]
     for i, grid in enumerate(grids):
         evolution.shared_quantizer(grid)
-        dno._flat_eigensystem(8 + i)
+        dno._strip_table(8 + i)
     for cache in caches[:2]:
         assert cache.cache_info().currsize == CACHE_MAXSIZE
     # least recently used goes first: the newest grid is kept, the oldest rebuilt
@@ -308,6 +308,15 @@ def test_mollifier_orders_high_band_energy():
     e2, _ = mollified_rhs(st, 0.3)
     hi = np.abs(GRID.xi) >= 8.0
     assert np.sum(np.abs(e2.spectrum[hi]) ** 2) <= np.sum(np.abs(e1.spectrum[hi]) ** 2)
+
+
+def test_non_finite_state_fails_validation():
+    # the band-tail test fails on NaN, which no comparison with the tolerance passes
+    values = np.zeros(GRID.n)
+    values[3] = np.nan
+    eta = Field(GRID, values)
+    with pytest.raises(ValueError, match="eta spectral tail nan"):
+        WaveState(0.0, eta, Field.zeros(GRID), GEO, nz=24)
 
 
 def test_step_envelope_check():

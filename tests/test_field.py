@@ -61,6 +61,8 @@ def test_grid_validation():
         Grid(7, 1.0)
     with pytest.raises(ValueError):
         Grid(64, -1.0)
+    with pytest.raises(ValueError, match="period must be positive"):
+        Grid(64, float("nan"))
 
 
 def test_transform_round_trip(grid):
