@@ -82,6 +82,9 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if self.profile not in ("cosine", "packet", "zero"):
             raise ConfigError(f"unknown init.profile {self.profile!r}")
+        if self.profile == "packet" and not self.width > 0:
+            raise ConfigError(f"init.width must be positive for the packet profile, "
+                              f"got {self.width}")
         if self.profile == "cosine" and not 1 <= abs(self.mode) < self.n // 2:
             raise ConfigError(f"init.mode must satisfy 1 <= |mode| < grid.n/2 = "
                               f"{self.n // 2} for the cosine profile")

@@ -94,12 +94,12 @@ class Geometry:
     def __post_init__(self):
         if self.kind not in _LIFT_SLOPE:
             raise GeometryError(f"unknown geometry kind {self.kind!r}")
-        if not self.depth > 0:  # negated comparisons: NaN fails them
-            raise GeometryError("layer depth must be positive")
-        if not self.g >= 0:
-            raise GeometryError("gravity must be nonnegative")
-        if not self.kappa >= 0:
-            raise GeometryError("surface tension must be nonnegative")
+        if not 0 < self.depth < math.inf:  # negated comparisons: NaN fails them
+            raise GeometryError("layer depth must be positive and finite")
+        if not 0 <= self.g < math.inf:
+            raise GeometryError("gravity must be nonnegative and finite")
+        if not 0 <= self.kappa < math.inf:
+            raise GeometryError("surface tension must be nonnegative and finite")
 
     def lift(self, z):
         """The weight w(z) of eta in the lift rho, and its slope w'."""
@@ -144,13 +144,13 @@ class _StripOperator:
         self.z, self.Dz, self.Dz2 = self.table.z, self.table.Dz, self.table.Dz2
         # the derivative symbols on the rfft half spectrum
         half = grid.n // 2 + 1
-        self._sym1 = derivative_symbol(grid.xi, 1)[:half]
-        self._sym2 = derivative_symbol(grid.xi, 2)[:half]
+        self._sym1 = derivative_symbol(grid, 1)[:half]
+        self._sym2 = derivative_symbol(grid, 2)[:half]
         self.eta_x = ex1 = x_derivative(eta).values.real
         w, wp = geo.lift(self.z[:, None])  # (nz, 1)
         d = geo.local_depth(eta)  # dz rho, z-independent
         b = ex1 / d
-        bp = spectral_derivative(b, grid.xi)
+        bp = spectral_derivative(b, grid)
         self.czz = 1.0 / d[None, :] ** 2 + w**2 * b[None, :] ** 2
         self.cxz = -2.0 * w * b[None, :]
         self.cz = w * (wp * b[None, :] ** 2 - bp[None, :])
@@ -184,8 +184,8 @@ class _StripOperator:
         grid, nz = self.grid, self.nz
         n = grid.n
         eye_f = np.eye(n)
-        Dx = spectral_derivative(eye_f, grid.xi, 1, axis=0)
-        Dx2 = spectral_derivative(eye_f, grid.xi, 2, axis=0)
+        Dx = spectral_derivative(eye_f, grid, 1, axis=0)
+        Dx2 = spectral_derivative(eye_f, grid, 2, axis=0)
         A = (
             np.diag(self.czz.ravel()) @ np.kron(self.Dz2, eye_f)
             + np.kron(np.eye(nz), Dx2)
@@ -278,7 +278,7 @@ class StripSolution:
         """(1+eta_x^2)/dz_rho * dv/dz - eta_x * dv/dx at z = 0."""
         op = self.operator
         vz0 = op.Dz[0] @ self.v
-        vx0 = spectral_derivative(self.v[0], op.grid.xi)
+        vx0 = spectral_derivative(self.v[0], op.grid)
         g = (1.0 + op.eta_x**2) / op.dz_rho_surface * vz0 - op.eta_x * vx0
         return Field(op.grid, g)
 

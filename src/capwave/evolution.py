@@ -301,7 +301,7 @@ class _FlatModes:
         # xi^2 = -D1^2: the discrete curvature is built from first derivatives,
         # so the linear model takes their Nyquist rule, or the mismatch is
         # integrated explicitly and blows up
-        xi2 = -(derivative_symbol(grid.xi, 1) ** 2).real
+        xi2 = -(derivative_symbol(grid, 1) ** 2).real
         stiff = geo.g + geo.kappa * xi2
         self.omega = np.sqrt(omega_g * stiff)
         self.linear_mask = (omega_g > 0) & (stiff > 0)

@@ -21,6 +21,8 @@ Every spectral reader takes the transform to c_k from
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -35,10 +37,11 @@ __all__ = [
     "band_tail_fraction",
 ]
 
-# maxsize of the package's lru caches (the DN strip table, one per nz; the
-# shared quantizer, one per grid; the flat-mode table, one per grid and
-# geometry; the ETDRK4 coefficients): every key a simulate run or a single
-# verify suite reuses stays resident
+# maxsize of the package's lru caches (the derivative symbol, one per grid
+# and order; the DN strip table, one per nz; the shared quantizer, one per
+# grid; the flat-mode table, one per grid and geometry; the ETDRK4
+# coefficients): every key a simulate run or a single verify suite reuses
+# stays resident
 CACHE_MAXSIZE = 16
 
 
@@ -48,8 +51,8 @@ class Grid:
     def __init__(self, n: int, length: float):
         if n < 8 or n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 8, got {n}")
-        if not length > 0:  # NaN fails too
-            raise ValueError(f"period must be positive, got {length}")
+        if not 0 < length < np.inf:  # NaN fails too
+            raise ValueError(f"period must be positive and finite, got {length}")
         self.n = int(n)
         self.length = float(length)
         self.x = -self.length / 2 + np.arange(self.n) * (self.length / self.n)
@@ -187,32 +190,37 @@ def series_coefficients(samples: np.ndarray, grid: Grid, axis: int = -1) -> np.n
     return np.fft.fft(samples, axis=axis) * grid._phase.reshape(shape) / grid.n
 
 
-def derivative_symbol(xi: np.ndarray, order: int) -> np.ndarray:
+@lru_cache(maxsize=CACHE_MAXSIZE)
+def derivative_symbol(grid: Grid, order: int) -> np.ndarray:
     """The symbol (i xi)^order of d^order/dx^order, real for even orders.
 
-    ``xi`` holds the grid frequencies in numpy fft ordering.  Odd orders zero
-    the Nyquist mode, whose derivative has no real representation on the grid.
+    One read-only array per (grid, order), on the grid frequencies in numpy
+    fft ordering.  Odd orders zero the Nyquist mode, whose derivative has no
+    real representation on the grid.
     """
-    sym = (1j * xi) ** order
+    sym = (1j * grid.xi) ** order
     if order % 2 == 0:
-        return sym.real
-    sym[len(xi) // 2] = 0.0
+        sym = sym.real.copy()
+    else:
+        sym[grid.n // 2] = 0.0
+    sym.setflags(write=False)
     return sym
 
 
-def spectral_derivative(samples: np.ndarray, xi: np.ndarray, order: int = 1,
+def spectral_derivative(samples: np.ndarray, grid: Grid, order: int = 1,
                         axis: int = -1) -> np.ndarray:
-    """d^order/dx^order of periodic samples along ``axis``; real samples give a real result."""
+    """d^order/dx^order of periodic samples on ``grid`` along ``axis``; real
+    samples give a real result."""
     shape = [1] * np.ndim(samples)
-    shape[axis] = len(xi)
-    sym = derivative_symbol(xi, order).reshape(shape)
+    shape[axis] = grid.n
+    sym = derivative_symbol(grid, order).reshape(shape)
     out = np.fft.ifft(np.fft.fft(samples, axis=axis) * sym, axis=axis)
     return out.real if np.isrealobj(samples) else out
 
 
 def x_derivative(u: Field, order: int = 1) -> Field:
     """Spectral d^order/dx^order of a field (see :func:`spectral_derivative`)."""
-    return Field(u.grid, spectral_derivative(u.values, u.grid.xi, order))
+    return Field(u.grid, spectral_derivative(u.values, u.grid, order))
 
 
 def sobolev_norm(u: Field, s: float) -> float:

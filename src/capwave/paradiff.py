@@ -142,7 +142,7 @@ def compose(a: Symbol, b: Symbol) -> Symbol:
         raise ValueError("grid mismatch")
     sub = (a.principal * sub_traces(b) + sub_traces(a) * b.principal
            + (1.0 / 1j) * (a.order * SIGNS * a.principal)
-           * spectral_derivative(b.principal, a.grid.xi, axis=0))
+           * spectral_derivative(b.principal, a.grid, axis=0))
     return Symbol(a.grid, a.order + b.order, a.principal * b.principal, sub,
                   name=f"{a.name}#{b.name}")
 
@@ -150,7 +150,7 @@ def compose(a: Symbol, b: Symbol) -> Symbol:
 def adjoint_symbol(a: Symbol) -> Symbol:
     """Adjoint symbol a*: conj(a) plus (1/i) dxi dx conj(a^(m))."""
     sub = np.conj(sub_traces(a)) + (1.0 / 1j) * spectral_derivative(
-        np.conj(a.order * SIGNS * a.principal), a.grid.xi, axis=0)
+        np.conj(a.order * SIGNS * a.principal), a.grid, axis=0)
     return Symbol(a.grid, a.order, np.conj(a.principal), sub, name=f"{a.name}*")
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .cutoffs import smooth_step, smooth_step_derivative
 
@@ -40,6 +39,11 @@ __all__ = [
 
 # the fewest trajectory records kato_integral integrates
 KATO_MIN_RECORDS = 4
+
+# 20-point Gauss-Legendre rule on [0, 1], for _f_primitive's unit panels
+_PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_PANEL_NODES = 0.5 * (_PANEL_NODES + 1.0)
+_PANEL_WEIGHTS = 0.5 * _PANEL_WEIGHTS
 
 
 def _phi(y):
@@ -115,10 +119,21 @@ class EscapeSymbol:
 
 
 def _f_primitive(sigma: np.ndarray, delta: float) -> np.ndarray:
-    """f(sigma) = int_0^sigma <y>^(-1-delta) dy, in closed form
-    sigma 2F1(1/2, (1+delta)/2; 3/2; -sigma^2)."""
-    sigma = np.asarray(sigma, dtype=float)
-    return sigma * hyp2f1(0.5, 0.5 * (1.0 + delta), 1.5, -sigma**2)
+    """f(sigma) = int_0^sigma <y>^(-1-delta) dy for sigma >= 0.
+
+    With y = sinh u, f(sigma) = int_0^asinh(sigma) cosh(u)^(-delta) du.  The
+    integrand is analytic in the strip |Im u| < pi/2, so Gauss-Legendre on
+    unit-width panels in u converges geometrically: the whole panels below
+    asinh(sigma) are summed once and shared, the partial panel is one rule
+    per point.  Equals sigma 2F1(1/2, (1+delta)/2; 3/2; -sigma^2) to rounding.
+    """
+    u = np.arcsinh(np.asarray(sigma, dtype=float))
+    whole = np.floor(u)
+    panels = np.arange(np.max(whole, initial=0.0))[:, None] + _PANEL_NODES
+    below = np.concatenate(([0.0], np.cumsum(np.cosh(panels) ** -delta @ _PANEL_WEIGHTS)))
+    rest = u - whole
+    partial = np.cosh(whole[..., None] + rest[..., None] * _PANEL_NODES) ** -delta
+    return below[whole.astype(np.intp)] + rest * (partial @ _PANEL_WEIGHTS)
 
 
 def build_escape(delta: float, eps_doi: float, grid: Grid) -> EscapeSymbol:

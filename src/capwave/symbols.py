@@ -67,7 +67,7 @@ def _traces(grid: Grid, values) -> np.ndarray:
 
 
 def _dx(traces, grid: Grid):
-    return spectral_derivative(traces, grid.xi, axis=0)
+    return spectral_derivative(traces, grid, axis=0)
 
 
 class Symbol:
@@ -204,10 +204,9 @@ class Mollifier(Symbol):
                 - _dx(j, self.grid) * g.dxi_principal(xi))
 
 
-def _slope_fields(eta: Field):
-    ex1 = x_derivative(eta).values.real
-    ex2 = x_derivative(eta, 2).values.real
-    return ex1[:, None], ex2[:, None]
+def _slope(eta: Field):
+    """eta_x as an (n, 1) trace column."""
+    return x_derivative(eta).values.real[:, None]
 
 
 def sub_traces(sym: Symbol):
@@ -222,7 +221,7 @@ def dn_symbol(eta: Field) -> Symbol:
     equals |xi| and the sub-principal part cancels to zero identically.
     """
     grid = eta.grid
-    e1, _ = _slope_fields(eta)
+    e1 = _slope(eta)
     w = 1.0 + e1**2
     lam1 = np.sqrt(w * SIGNS**2 - (e1 * SIGNS) ** 2)
     alpha1 = (lam1 + 1j * e1 * SIGNS) / w
@@ -234,7 +233,7 @@ def dn_symbol(eta: Field) -> Symbol:
 def curvature_symbol(eta: Field) -> Symbol:
     """Paralinearized mean-curvature symbol h = h2 + h1, h1 = -(i/2) dx dxi h2."""
     grid = eta.grid
-    e1, _ = _slope_fields(eta)
+    e1 = _slope(eta)
     w = 1.0 + e1**2
     h2 = w**-0.5 * (SIGNS**2 - (e1 * SIGNS) ** 2 / w)
     h1 = -0.5j * _dx(2.0 * SIGNS * h2, grid)
@@ -256,7 +255,7 @@ def symmetrizer(eta: Field, lam: Symbol | None = None,
     grid = eta.grid
     lam = lam if lam is not None else dn_symbol(eta)
     curv = curv if curv is not None else curvature_symbol(eta)
-    e1, _ = _slope_fields(eta)
+    e1 = _slope(eta)
     c = (1.0 + e1**2) ** -0.75
     q0 = c ** (-1.0 / 3.0)  # = (1 + eta_x^2)^(1/4)
 
@@ -295,7 +294,8 @@ def factorization(eta: Field, geo: Geometry) -> tuple[Symbol, Symbol]:
         raise GeometryError("factorization requires a moving bottom (parallel_strip)")
     grid = eta.grid
     h = geo.depth
-    e1, e2 = _slope_fields(eta)
+    e1 = _slope(eta)
+    e2 = x_derivative(eta, 2).values.real[:, None]
     al = (1.0 + e1**2) / h**2
     be = -2.0 * e1 / h
     ga = e2 / h

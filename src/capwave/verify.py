@@ -199,11 +199,11 @@ def _suite_symbols(seed: int, timings: dict) -> list:
     checks.append(_check("symbols.a2d_reduction",
                          np.max(np.abs(lam.total_at(xi) - np.abs(xi)[None, :])), 1e-10))
     adl = np.imag(lam.subprincipal_at(xi)) \
-        + 0.5 * spectral_derivative(lam.dxi_principal(xi), grid.xi, axis=0)
+        + 0.5 * spectral_derivative(lam.dxi_principal(xi), grid, axis=0)
     checks.append(_check("symbols.adlambda", np.max(np.abs(adl)), 1e-10))
 
     g12 = np.imag(gam.subprincipal_at(xi)) \
-        + 0.5 * spectral_derivative(gam.dxi_principal(xi), grid.xi, axis=0)
+        + 0.5 * spectral_derivative(gam.dxi_principal(xi), grid, axis=0)
     checks.append(_check("symbols.g12", np.max(np.abs(g12)), 1e-10))
 
     br1 = poisson_bracket(h, lam).principal_at(xi)
@@ -248,7 +248,7 @@ def _suite_symbols(seed: int, timings: dict) -> list:
     sub = (p.principal_at(xi) * wp.subprincipal_at(xi)
            + p.subprincipal_at(xi) * wp.principal_at(xi)
            + (1.0 / 1j) * p.dxi_principal(xi)
-           * spectral_derivative(wp.principal_at(xi), grid.xi, axis=0))
+           * spectral_derivative(wp.principal_at(xi), grid, axis=0))
     checks.append(_check("symbols.parametrix_principal", np.max(np.abs(comp)), 1e-12))
     checks.append(_check("symbols.parametrix_subprincipal", np.max(np.abs(sub)), 1e-12))
 
@@ -264,7 +264,7 @@ def _suite_symbols(seed: int, timings: dict) -> list:
     bw = elliptic_weight(eta, 2.6)
     br = poisson_bracket(bw, gam).principal_at(xi)
     scale = np.max(np.abs(bw.dxi_principal(xi)
-                          * spectral_derivative(gam.principal_at(xi), grid.xi, axis=0)))
+                          * spectral_derivative(gam.principal_at(xi), grid, axis=0)))
     checks.append(_check("symbols.weight_bracket_rel",
                          np.max(np.abs(br)) / max(scale, 1.0), 1e-10))
     return checks

@@ -234,6 +234,19 @@ def test_run_too_short_for_the_kato_integral_rejected_before_any_step(
     assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("width", ["0", "-1.5", "inf", "nan"])
+def test_packet_width_rejected_by_name(tmp_path, monkeypatch, capsys, width):
+    steps = []
+    monkeypatch.setattr(evolution, "step", lambda *a, **k: steps.append(a))
+    path = write_config(tmp_path, BASE_CONFIG + f"init.profile = packet\ninit.width = {width}\n",
+                        out_dir=tmp_path / "out")
+    with np.errstate(all="raise"):  # rejected before the packet is built
+        assert main(["simulate", str(path)]) == EXIT_VALIDATION
+    assert "configuration error: init.width must be" in capsys.readouterr().err
+    assert steps == []
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
 def test_scheme_other_than_etdrk4_rejected_before_any_step(tmp_path, monkeypatch):
     steps = []
     monkeypatch.setattr(evolution, "step", lambda *a, **k: steps.append(a))

@@ -22,7 +22,7 @@ from capwave.evolution import (
     time_derivatives,
     zakharov_rhs,
 )
-from capwave.field import CACHE_MAXSIZE, Field, Grid, sobolev_norm
+from capwave.field import CACHE_MAXSIZE, Field, Grid, derivative_symbol, sobolev_norm
 from capwave.paradiff import Quantizer, measured_regularity
 from capwave.smoothing import af_identity_check, build_escape
 from capwave.symbols import Symbol
@@ -66,7 +66,7 @@ def test_raw_run_builds_no_quantizer(monkeypatch):
 
 def test_caches_are_bounded_lrus():
     caches = (evolution.shared_quantizer, dno._strip_table,
-              evolution._flat_modes, evolution._etdrk4_coefficients)
+              evolution._flat_modes, evolution._etdrk4_coefficients, derivative_symbol)
     assert all(c.cache_info().maxsize == CACHE_MAXSIZE for c in caches)
     grids = [Grid(8 + 2 * i, 2 * np.pi) for i in range(CACHE_MAXSIZE + 1)]
     for i, grid in enumerate(grids):

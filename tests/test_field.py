@@ -8,6 +8,7 @@ from capwave.field import (
     Grid,
     band_tail_fraction,
     dealiased_product,
+    derivative_symbol,
     multiplier,
     sobolev_norm,
     spectral_derivative,
@@ -61,8 +62,9 @@ def test_grid_validation():
         Grid(7, 1.0)
     with pytest.raises(ValueError):
         Grid(64, -1.0)
-    with pytest.raises(ValueError, match="period must be positive"):
-        Grid(64, float("nan"))
+    for length in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="period must be positive and finite"):
+            Grid(64, length)
 
 
 def test_transform_round_trip(grid):
@@ -190,23 +192,38 @@ def test_spectral_derivative_of_trigonometric_polynomials(grid, order):
     cols, derivative = trig_columns(grid)
     expected = derivative(order)
     tol = 1e-12 * 7.0**order
-    along_0 = spectral_derivative(cols, grid.xi, order, axis=0)
-    along_last = spectral_derivative(cols.T, grid.xi, order, axis=-1)
+    along_0 = spectral_derivative(cols, grid, order, axis=0)
+    along_last = spectral_derivative(cols.T, grid, order, axis=-1)
     assert not np.iscomplexobj(along_0) and not np.iscomplexobj(along_last)
     assert np.max(np.abs(along_0 - expected)) < tol
     assert np.max(np.abs(along_last - expected.T)) < tol
     # complex samples: exp(i k x) -> (i k)^order exp(i k x)
     ks = np.array([1, -4, 9])
     waves = np.exp(1j * np.outer(grid.x, ks))
-    out = spectral_derivative(waves, grid.xi, order, axis=0)
+    out = spectral_derivative(waves, grid, order, axis=0)
     assert np.iscomplexobj(out)
     assert np.max(np.abs(out - (1j * ks) ** order * waves)) < 1e-12 * 9.0**order
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
+def test_derivative_symbol_is_built_once_per_grid_and_order(grid, order):
+    derivative_symbol.cache_clear()
+    sym = derivative_symbol(grid, order)
+    assert derivative_symbol(Grid(grid.n, grid.length), order) is sym
+    assert derivative_symbol.cache_info().misses == 1
+    assert not sym.flags.writeable
+    expected = (1j * grid.xi) ** order
+    if order % 2:
+        expected[grid.n // 2] = 0.0
+    else:
+        expected = expected.real
+    assert np.array_equal(sym, expected) and sym.dtype == expected.dtype
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
 def test_spectral_derivative_nyquist_mode(grid, order):
     nyquist = np.cos(grid.n // 2 * grid.x)
-    out = spectral_derivative(nyquist, grid.xi, order)
+    out = spectral_derivative(nyquist, grid, order)
     if order % 2:
         assert np.max(np.abs(out)) < 1e-12
     else:
@@ -221,7 +238,7 @@ def test_x_derivative_is_the_kernel_on_fields(grid, order):
     cplx = Field(grid, real.values + 1j * random_band_limited(grid, rng).values)
     for u in (real, cplx):
         du = x_derivative(u, order)
-        col = spectral_derivative(np.stack([u.values, u.values], axis=1), grid.xi,
+        col = spectral_derivative(np.stack([u.values, u.values], axis=1), grid,
                                   order, axis=0)[:, 1]
         assert du.is_real == u.is_real
         assert np.max(np.abs(du.values - col)) <= 1e-15 * max(np.max(np.abs(col)), 1.0)

@@ -1,6 +1,10 @@
-"""Static guard: no module of the package imports a name it never uses."""
+"""Import guards: no module of the package imports a name it never uses, and
+the package runs on numpy alone."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +47,15 @@ def test_guard_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_imports_no_scipy():
+    # a fresh interpreter: this one has scipy loaded by the test oracles
+    code = ("import sys, capwave, capwave.cli, capwave.verify; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(capwave.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gamma
+from scipy.special import gamma, hyp2f1
 
 from capwave.corpus import gaussian_packet, power_law_field
 from capwave.cutoffs import psi_cut
@@ -60,6 +60,20 @@ def test_f_primitive_closed_form_matches_quadrature(grid, delta):
     sigma = np.abs(grid.x)
     assert np.max(np.abs(_f_primitive(sigma, delta) - quad_primitive(sigma, delta))) < 1e-12
     assert abs(f_limit(delta) - quad_primitive([np.inf], delta)[0]) < 1e-12
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.1, 0.4, 1.0])
+def test_f_primitive_matches_the_hypergeometric_closed_form(delta):
+    # sigma 2F1(1/2, (1+delta)/2; 3/2; -sigma^2), far past the largest grid
+    # half-length in use (8 pi), on both sides of every panel edge asinh(sigma) = k
+    edges = np.sinh(np.arange(1, 8))
+    sigma = np.concatenate([np.linspace(0.0, 30.0, 3001), np.geomspace(1e-8, 1e3, 2001),
+                            edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    closed = sigma * hyp2f1(0.5, 0.5 * (1.0 + delta), 1.5, -sigma**2)
+    got = _f_primitive(sigma, delta)
+    assert got[0] == 0.0
+    assert np.max(np.abs(got[1:] - closed[1:]) / closed[1:]) <= 1e-13
+    assert _f_primitive(0.0, delta) == 0.0 and np.shape(_f_primitive(2.0, delta)) == ()
 
 
 def test_escape_validation():

@@ -44,7 +44,7 @@ def test_dn_symmetry_identity():
     # Im lam0 = -(1/2) dxi dx lam1 (symbol-level symmetry of the operator)
     lam = dn_symbol(ETA)
     lhs = np.imag(lam.subprincipal_at(XI))
-    rhs = -0.5 * spectral_derivative(lam.dxi_principal(XI), GRID.xi, axis=0)
+    rhs = -0.5 * spectral_derivative(lam.dxi_principal(XI), GRID, axis=0)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -69,7 +69,7 @@ def test_curvature_subprincipal_fd_oracle():
     step = 1e-3
     dxi = (h.principal_at(XI * (1.0 + step)) - h.principal_at(XI * (1.0 - step))) \
         / (2.0 * step * XI)[None, :]
-    fd = -0.5j * spectral_derivative(dxi, GRID.xi, axis=0)
+    fd = -0.5j * spectral_derivative(dxi, GRID, axis=0)
     assert np.max(np.abs(h.subprincipal_at(XI) - fd)) < 1e-8
 
 
@@ -86,7 +86,7 @@ def test_symmetrizer_flat():
 def test_gamma_1d_closed_form():
     _, _, gam = symmetrizer(ETA)
     c = (1.0 + SLOPE**2) ** -0.75
-    cx = spectral_derivative(c, GRID.xi, axis=0)
+    cx = spectral_derivative(c, GRID, axis=0)
     expected = c * np.abs(XI)[None, :] ** 1.5 \
         - 0.75j * XI[None, :] * np.abs(XI)[None, :] ** -0.5 * cx
     assert np.max(np.abs(gam.total_at(XI) - expected)) < 1e-12
@@ -96,7 +96,7 @@ def test_gamma_imaginary_part_constraint():
     # Im gamma^(1/2) = -(1/2) dxi dx gamma^(3/2)
     _, _, gam = symmetrizer(ETA)
     lhs = np.imag(gam.subprincipal_at(XI))
-    rhs = -0.5 * spectral_derivative(gam.dxi_principal(XI), GRID.xi, axis=0)
+    rhs = -0.5 * spectral_derivative(gam.dxi_principal(XI), GRID, axis=0)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -140,7 +140,7 @@ def test_parametrix_flat_and_composition():
         p.principal_at(XI) * wp.subprincipal_at(XI)
         + p.subprincipal_at(XI) * wp.principal_at(XI)
         + (1.0 / 1j) * p.dxi_principal(XI)
-        * spectral_derivative(wp.principal_at(XI), GRID.xi, axis=0)
+        * spectral_derivative(wp.principal_at(XI), GRID, axis=0)
     )
     assert np.max(np.abs(sub)) < 1e-12
     wp0 = parametrix(Field.zeros(GRID), symmetrizer(Field.zeros(GRID))[0])
@@ -259,7 +259,7 @@ def test_elliptic_weight():
     assert np.max(np.abs(flat.principal_at(XI) - np.abs(XI)[None, :] ** s)) < 1e-11
     br = poisson_bracket(bw, gam).principal_at(XI)
     scale = np.max(np.abs(bw.dxi_principal(XI)
-                          * spectral_derivative(gam.principal_at(XI), GRID.xi, axis=0)))
+                          * spectral_derivative(gam.principal_at(XI), GRID, axis=0)))
     assert np.max(np.abs(br)) <= 1e-10 * max(scale, 1.0)
 
 
