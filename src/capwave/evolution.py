@@ -220,8 +220,8 @@ def mollified_rhs(state: WaveState, eps: float) -> tuple[Field, Field]:
 
     At eps = 0 this reduces operator-by-operator to :func:`zakharov_rhs`.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not 0 <= eps < np.inf:  # NaN fails too
+        raise ValueError(f"eps must be nonnegative and finite, got {eps}")
     geo = state.geo
     quant = state.quantizer
     eta, psi = state.eta, state.psi
@@ -235,8 +235,7 @@ def mollified_rhs(state: WaveState, eps: float) -> tuple[Field, Field]:
     t_p = quant.operator(p)
     t_q = quant.operator(q)
     t_wp = quant.operator(wp)
-    t_invq = quant.operator(Symbol.from_field(
-        Field(eta.grid, 1.0 / q.principal[:, 0].real), name="1/q"))
+    t_invq = quant.operator(Symbol(eta.grid, 0.0, 1.0 / q.principal.real, name="1/q"))
     t_jm1 = quant.operator(jm1)
     t_b, t_v = state.t_b, state.t_v
 
@@ -410,6 +409,10 @@ def step(state: WaveState, dt: float, eps: float = 0.0,
     """Advance one ETDRK4 step; aborts with the last valid state on NaN or geometry loss."""
     if scheme != "etdrk4":
         raise ValueError(f"unknown scheme {scheme!r}")
+    if not 0 < dt < np.inf:  # negated comparisons: NaN fails them
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not 0 <= eps < np.inf:
+        raise ValueError(f"eps must be nonnegative and finite, got {eps}")
     coeff = _etdrk4_coefficients(state.grid, state.geo, dt, eps)
     fastest = float(np.max(np.abs(coeff.omega_eff)))
     if dt * fastest > _ENVELOPE:
@@ -588,15 +591,11 @@ def _symbol_time_derivative(eta: Field, eta_t: Field, tau: float = 1e-5):
     """
     plus = symmetrizer(eta + eta_t * tau)[:2]
     minus = symmetrizer(eta + eta_t * (-tau))[:2]
-    out = []
-    for sym_p, sym_m in zip(plus, minus):
-        sub = None
-        if sym_p.subprincipal is not None:
-            sub = (sym_p.subprincipal - sym_m.subprincipal) / (2.0 * tau)
-        out.append(Symbol(eta.grid, sym_p.order,
-                          (sym_p.principal - sym_m.principal) / (2.0 * tau),
-                          sub, name=f"dt[{sym_p.name}]"))
-    return tuple(out)
+    return tuple(Symbol(eta.grid, sym_p.order,
+                        (sym_p.principal - sym_m.principal) / (2.0 * tau),
+                        (sym_p.subprincipal - sym_m.subprincipal) / (2.0 * tau),
+                        name=f"dt[{sym_p.name}]")
+                 for sym_p, sym_m in zip(plus, minus))
 
 
 def symmetrized_residuals(state: WaveState) -> dict:
@@ -609,17 +608,18 @@ def symmetrized_residuals(state: WaveState) -> dict:
     der = time_derivatives(state)
     p, q, gam = state.symmetrizer_symbols
     dt_p, dt_q = _symbol_time_derivative(state.eta, der["eta_t"])
+    t_p, t_q = quant.operator(p), quant.operator(q)
 
     u_t = (der["psi_t"]
            - state.t_b(der["eta_t"])
            - quant.quantize(Symbol.from_field(der["b_t"]), state.eta)).real()
-    phi1_t = (quant.quantize(p, der["eta_t"]) + quant.quantize(dt_p, state.eta)).real()
-    phi2_t = (quant.quantize(q, u_t) + quant.quantize(dt_q, state.u_good)).real()
+    phi1_t = (t_p(der["eta_t"]) + quant.quantize(dt_p, state.eta)).real()
+    phi2_t = (t_q(u_t) + quant.quantize(dt_q, state.u_good)).real()
 
     t_v = state.t_v
     t_g = quant.operator(gam)
-    phi1 = quant.quantize(p, state.eta).real()
-    phi2 = quant.quantize(q, state.u_good).real()
+    phi1 = t_p(state.eta).real()
+    phi2 = t_q(state.u_good).real()
     f1 = (phi1_t + t_v(x_derivative(phi1)) - t_g(phi2)).real()
     f2 = (phi2_t + t_v(x_derivative(phi2)) + t_g(phi1)).real()
     return {

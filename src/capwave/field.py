@@ -231,8 +231,8 @@ def sobolev_norm(u: Field, s: float) -> float:
 
 def weighted_norm(u: Field, s: float, delta: float) -> float:
     """H^s norm of <x>^(-1/2-delta) u, with <x> on the fundamental domain."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < np.inf:  # NaN fails too
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     w = (1.0 + u.grid.x**2) ** (-(0.5 + delta) / 2.0)
     return sobolev_norm(Field(u.grid, w * u.values), s)
 

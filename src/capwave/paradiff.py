@@ -8,15 +8,15 @@ The quantizer realizes
 in Fourier-series coefficients, where ahat(., eta) is the spatial transform
 of the symbol frozen at frequency eta.  A :class:`Symbol` part of order m is
 a_(sgn xi)(x) |xi|^m, so ahat(theta, eta) is the transform of one of its
-two x-traces times |eta|^m: the matrix is one FFT along x of the principal
-and sub-principal traces, an (n, 2) array each, then a gather of the
-transforms into the dense n x n coefficient matrix, on the support of
+two x-traces times |eta|^m: the matrix is one FFT along x of the four trace
+columns (principal and sub-principal, at xi = +1 and -1), then a gather of
+the transforms into the dense n x n coefficient matrix, on the support of
 chi psi only.  A :class:`Mollifier` is not homogeneous; it is sampled on the
 full (x, xi) grid and goes through the same gather, one column per frozen
 frequency.  All operator probes (remainder orders, boundedness constants)
-are driven through the dense matrix.  Symbolic composition and adjoints
-follow the two-order truncation appropriate for principal + sub-principal
-symbols and are exact algebra on the traces.
+are driven through the dense matrix.  The symbol algebra (composition,
+adjoints, brackets) lives in :mod:`capwave.symbols`; this module only
+quantizes and probes.
 """
 
 from __future__ import annotations
@@ -24,14 +24,12 @@ from __future__ import annotations
 import numpy as np
 
 from .cutoffs import chi_profile, psi_cut, smooth_step
-from .field import Field, Grid, series_coefficients, sobolev_norm, spectral_derivative
-from .symbols import SIGNS, Mollifier, Symbol, sub_traces
+from .field import Field, Grid, series_coefficients, sobolev_norm
+from .symbols import Mollifier, Symbol
 
 __all__ = [
     "Quantizer",
     "DenseOp",
-    "compose",
-    "adjoint_symbol",
     "remainder_order",
     "bony_residual",
     "shell_field",
@@ -63,13 +61,15 @@ class Quantizer:
         psi = psi_cut(grid.xi)
         cut = chi_profile(ratio) * (np.abs(diff) <= n // 2) * psi[None, :]
         # T_a vanishes off the support of chi(theta, eta) psi(eta); there it
-        # gathers ahat(theta, column) under one of two column plans: the
-        # trace at sgn(eta) (columns xi = +1, -1) or the frequency eta itself
+        # gathers ahat(theta, column) from the four trace columns (principal
+        # at xi = +1, -1, then sub-principal) at sgn(eta), or from the
+        # frequency eta itself for a sampled symbol
         self._support = np.flatnonzero(cut)
         self._cut = cut.ravel()[self._support]
         rows, self._cols = np.divmod(self._support, n)
         theta = np.mod(k[rows] - k[self._cols], n)
-        self._sign_index = theta * 2 + (grid.xi[self._cols] < 0)
+        self._sign_index = theta * 4 + (grid.xi[self._cols] < 0)
+        self._sub_index = self._sign_index + 2
         self._identity_index = theta * n + self._cols
         # |eta| where psi does not vanish (|eta| > 1), so negative powers stay finite
         self._absxi = np.where(psi > 0, np.abs(grid.xi), 1.0)
@@ -78,27 +78,25 @@ class Quantizer:
         """Dense coefficient-space matrix of T_symbol.
 
         A :class:`Symbol` is built from its x-traces at xi = +-1, with no
-        (x, xi) sample: column eta gathers the transform of the principal
-        trace at sgn(eta) times |eta|^order, plus that of the sub-principal
-        trace times |eta|^(order - 1).  A :class:`Mollifier` is sampled on
-        the full grid (``sample_grid``) and gathered with the identity
-        column plan (column eta, weight 1).  Only entries inside the support
-        of chi(theta, eta) psi(eta) are computed.
+        (x, xi) sample: one transform of the (n, 4) stack of principal and
+        sub-principal traces, then column eta gathers the principal
+        transform at sgn(eta) times |eta|^order plus the sub-principal one
+        times |eta|^(order - 1).  A :class:`Mollifier` is sampled on the
+        full grid (``sample_grid``) and gathered at column eta itself.  Only
+        entries inside the support of chi(theta, eta) psi(eta) are computed.
         """
         if symbol.grid != self.grid:
             raise ValueError("symbol and quantizer live on different grids")
         if isinstance(symbol, Mollifier):
-            plan = [(symbol.sample_grid(), 1.0)]
-            index = self._identity_index
+            ahat = series_coefficients(symbol.sample_grid(), self.grid, axis=0)
+            entries = np.take(ahat, self._identity_index)
         else:
-            plan = [(symbol.principal, self._column_weight(symbol.order))]
-            if symbol.subprincipal is not None:
-                plan.append((symbol.subprincipal, self._column_weight(symbol.order - 1.0)))
-            index = self._sign_index
-        entries = 0.0
-        for sample, weight in plan:
-            ahat = series_coefficients(sample, self.grid, axis=0)
-            entries = entries + np.take(ahat, index) * weight
+            ahat = series_coefficients(
+                np.concatenate([symbol.principal, symbol.subprincipal], axis=1),
+                self.grid, axis=0)
+            entries = (np.take(ahat, self._sign_index) * self._column_weight(symbol.order)
+                       + np.take(ahat, self._sub_index)
+                       * self._column_weight(symbol.order - 1.0))
         out = np.zeros((self.grid.n, self.grid.n), dtype=complex)
         out.flat[self._support] = self._cut * entries
         return out
@@ -132,26 +130,6 @@ class DenseOp:
     def adjoint(self) -> "DenseOp":
         """Exact L^2 adjoint (conjugate transpose in coefficient space)."""
         return DenseOp(self.grid, np.conj(self.matrix.T), name=f"{self.name}*")
-
-
-def compose(a: Symbol, b: Symbol) -> Symbol:
-    """Composition a#b truncated after the sub-principal order: the product
-    of principal parts, the sub-principal corrections and the first Leibniz
-    term (1/i) dxi(a) dx(b)."""
-    if a.grid != b.grid:
-        raise ValueError("grid mismatch")
-    sub = (a.principal * sub_traces(b) + sub_traces(a) * b.principal
-           + (1.0 / 1j) * (a.order * SIGNS * a.principal)
-           * spectral_derivative(b.principal, a.grid, axis=0))
-    return Symbol(a.grid, a.order + b.order, a.principal * b.principal, sub,
-                  name=f"{a.name}#{b.name}")
-
-
-def adjoint_symbol(a: Symbol) -> Symbol:
-    """Adjoint symbol a*: conj(a) plus (1/i) dxi dx conj(a^(m))."""
-    sub = np.conj(sub_traces(a)) + (1.0 / 1j) * spectral_derivative(
-        np.conj(a.order * SIGNS * a.principal), a.grid, axis=0)
-    return Symbol(a.grid, a.order, np.conj(a.principal), sub, name=f"{a.name}*")
 
 
 def shell_field(grid: Grid, j: int, mu: float, rng) -> Field:

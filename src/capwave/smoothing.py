@@ -64,8 +64,8 @@ class EscapeSymbol:
     grid: Grid
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < np.inf:  # NaN fails too
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if not 0 < self.eps_doi < 0.5:
             raise ValueError("eps_doi must lie in (0, 1/2)")
         self._f_vals = _f_primitive(np.abs(self.grid.x), self.delta)

@@ -2,12 +2,16 @@
 
 In one dimension each part of every symbol the paralinearization uses is
 a_(sgn xi)(x) |xi|^m, fixed by an order m and its two x-traces a_+ and a_-
-at xi = +1 and xi = -1.  A :class:`Symbol` stores them as an (n, 2) array,
+at xi = +1 and xi = -1.  A :class:`Symbol` stores them as (n, 2) arrays,
 column 0 at xi = +1 and column 1 at xi = -1: the principal part of order m
-and, optionally, the sub-principal part of order m - 1.  Evaluation is
-closed form, a_(sgn xi)|xi|^m with xi-derivative +-m a_(+-)|xi|^(m-1), and
-the xi = 0 column is zero.  Constructors build the traces pointwise, with
-spectral x-derivatives.
+and the sub-principal part of order m - 1, both always present (a missing
+part is zero).  Evaluation is closed form, a_(sgn xi)|xi|^m with
+xi-derivative +-m a_(+-)|xi|^(m-1), and the xi = 0 column is zero.
+Constructors build the traces pointwise, with spectral x-derivatives.
+
+The trace algebra lives here too: :func:`compose`, :func:`adjoint_symbol`,
+:func:`poisson_bracket` and :func:`parametrix` are exact pointwise formulas
+on the traces, and only this module reads the trace signs ``SIGNS``.
 
 The mollifier exp(-eps gamma^(3/2)) is not homogeneous.  A
 :class:`Mollifier` is built from gamma's principal traces and evaluated on
@@ -36,6 +40,8 @@ __all__ = [
     "elliptic_weight",
     "seminorm",
     "poisson_bracket",
+    "compose",
+    "adjoint_symbol",
     "SamplingError",
 ]
 
@@ -74,23 +80,22 @@ class Symbol:
     """Poly-homogeneous symbol a_(sgn xi)(x)|xi|^m + b_(sgn xi)(x)|xi|^(m-1).
 
     ``principal`` holds the x-traces a_(+-) of the order-``order`` part and
-    ``subprincipal`` the traces b_(+-) of the order ``order - 1`` part, or
-    None; each is an (n, 2) array, or broadcasts to one.
+    ``subprincipal`` the traces b_(+-) of the order ``order - 1`` part; each
+    is an (n, 2) array, broadcast from any shape that broadcasts to one, so
+    the default 0.0 is an all-zero sub-principal part.
     """
 
-    def __init__(self, grid, order, principal, subprincipal=None, *, name=""):
+    def __init__(self, grid, order, principal, subprincipal=0.0, *, name=""):
         self.grid = grid
         self.order = float(order)
         self.principal = _traces(grid, principal)
-        self.subprincipal = None if subprincipal is None else _traces(grid, subprincipal)
+        self.subprincipal = _traces(grid, subprincipal)
         self.name = name
 
     def principal_at(self, xi):
         return _homogeneous_at(self.principal, self.order, xi)
 
     def subprincipal_at(self, xi):
-        if self.subprincipal is None:
-            return np.zeros((self.grid.n, np.size(xi)))
         return _homogeneous_at(self.subprincipal, self.order - 1.0, xi)
 
     def total_at(self, xi):
@@ -100,8 +105,6 @@ class Symbol:
         return _homogeneous_at(self.principal, self.order, xi, 1)
 
     def dxi_subprincipal(self, xi):
-        if self.subprincipal is None:
-            return np.zeros((self.grid.n, np.size(xi)))
         return _homogeneous_at(self.subprincipal, self.order - 1.0, xi, 1)
 
     def sample_grid(self) -> np.ndarray:
@@ -155,8 +158,8 @@ class Mollifier(Symbol):
     """
 
     def __init__(self, gamma: Symbol, eps: float, shift: float = 0.0, *, name=""):
-        if eps < 0:
-            raise ValueError("mollifier strength must be nonnegative")
+        if not 0 <= eps < np.inf:  # NaN fails too
+            raise ValueError(f"mollifier strength must be nonnegative and finite, got {eps}")
         self.grid = gamma.grid
         self.order = 0.0
         self.eps = float(eps)
@@ -207,11 +210,6 @@ class Mollifier(Symbol):
 def _slope(eta: Field):
     """eta_x as an (n, 1) trace column."""
     return x_derivative(eta).values.real[:, None]
-
-
-def sub_traces(sym: Symbol):
-    """The sub-principal traces, or 0 when the symbol has none."""
-    return 0.0 if sym.subprincipal is None else sym.subprincipal
 
 
 def dn_symbol(eta: Field) -> Symbol:
@@ -279,7 +277,7 @@ def parametrix(eta: Field, p: Symbol) -> Symbol:
         raise ValueError("parametrix requires an elliptic p (min p^(1/2) > 0)")
     wm = 1.0 / p.principal
     dxi_wm = -p.order * SIGNS * wm
-    wm_sub = -(wm * sub_traces(p) + (1.0 / 1j) * dxi_wm * _dx(p.principal, eta.grid)) \
+    wm_sub = -(wm * p.subprincipal + (1.0 / 1j) * dxi_wm * _dx(p.principal, eta.grid)) \
         / p.principal
     return Symbol(eta.grid, -p.order, wm, wm_sub, name="parametrix")
 
@@ -332,6 +330,25 @@ def poisson_bracket(f: Symbol, g: Symbol) -> Symbol:
     traces = SIGNS * (f.order * f.principal * _dx(g.principal, grid)
                       - g.order * g.principal * _dx(f.principal, grid))
     return Symbol(grid, f.order + g.order - 1.0, traces, name=f"{{{f.name},{g.name}}}")
+
+
+def compose(a: Symbol, b: Symbol) -> Symbol:
+    """Composition a#b truncated after the sub-principal order: the product
+    of principal parts, the sub-principal corrections and the first Leibniz
+    term (1/i) dxi(a) dx(b)."""
+    if a.grid != b.grid:
+        raise ValueError("grid mismatch")
+    sub = (a.principal * b.subprincipal + a.subprincipal * b.principal
+           + (1.0 / 1j) * (a.order * SIGNS * a.principal) * _dx(b.principal, a.grid))
+    return Symbol(a.grid, a.order + b.order, a.principal * b.principal, sub,
+                  name=f"{a.name}#{b.name}")
+
+
+def adjoint_symbol(a: Symbol) -> Symbol:
+    """Adjoint symbol a*: conj(a) plus (1/i) dxi dx conj(a^(m))."""
+    sub = np.conj(a.subprincipal) + (1.0 / 1j) * _dx(
+        np.conj(a.order * SIGNS * a.principal), a.grid)
+    return Symbol(a.grid, a.order, np.conj(a.principal), sub, name=f"{a.name}*")
 
 
 def seminorm(a: Symbol, m: float) -> float:

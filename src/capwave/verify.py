@@ -23,12 +23,11 @@ from .evolution import WaveState, dispersion_fit, mollified_rhs, monitor, run, \
     step, zakharov_rhs
 from .field import Field, Grid, l2_inner, sobolev_norm, spectral_derivative, \
     x_derivative
-from .paradiff import Quantizer, adjoint_symbol, compose, remainder_order, \
-    shell_field
+from .paradiff import Quantizer, remainder_order, shell_field
 from .smoothing import af_identity_check, bound_check, build_escape, garding_fit, \
     kato_integral, unweighted_integral
-from .symbols import Mollifier, Symbol, curvature_symbol, dn_symbol, elliptic_weight, \
-    parametrix, poisson_bracket, seminorm, symmetrizer
+from .symbols import Mollifier, Symbol, adjoint_symbol, compose, curvature_symbol, \
+    dn_symbol, elliptic_weight, parametrix, poisson_bracket, seminorm, symmetrizer
 
 SUITES = ("dno", "calculus", "symbols", "smoothing", "evolution")
 

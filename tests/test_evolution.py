@@ -25,7 +25,7 @@ from capwave.evolution import (
 from capwave.field import CACHE_MAXSIZE, Field, Grid, derivative_symbol, sobolev_norm
 from capwave.paradiff import Quantizer, measured_regularity
 from capwave.smoothing import af_identity_check, build_escape
-from capwave.symbols import Symbol
+from capwave.symbols import Mollifier, Symbol, symmetrizer
 
 GRID = Grid(64, 2 * np.pi)
 GEO = Geometry("flat_bottom", 1.0, g=1.0, kappa=1.0)
@@ -154,6 +154,27 @@ def test_t_v_is_built_once_per_state(monkeypatch):
     monkeypatch.setattr(Quantizer, "matrix", counting_matrix)
     af_identity_check(states, build_escape(0.1, 0.05, GRID))
     assert built and "V" not in built, built
+
+
+def test_symmetrized_residuals_build_each_operator_once(monkeypatch):
+    # T_b(t), T_p, dt T_p, T_q, dt T_q and T_gamma per call, plus the
+    # state's cached T_B and T_V; af_identity_check adds T_a once and
+    # T_gamma once per state
+    states = [WaveState(0.1 * i, mode(GRID, 1, 0.01 + 0.002 * i), mode(GRID, 2, 0.01, 0.4),
+                        GEO, nz=24) for i in range(3)]
+    built = []
+    matrix = Quantizer.matrix
+
+    def counting_matrix(self, symbol):
+        built.append(symbol.name)
+        return matrix(self, symbol)
+
+    monkeypatch.setattr(Quantizer, "matrix", counting_matrix)
+    symmetrized_residuals(states[0])
+    assert len(built) == 8, built
+    built.clear()
+    af_identity_check([st.replace() for st in states], build_escape(0.1, 0.05, GRID))
+    assert len(built) == 28, built
 
 
 def test_symmetrized_residuals_build_three_symmetrizers(monkeypatch):
@@ -325,6 +346,34 @@ def test_step_envelope_check():
         step(st, 1.0)  # dt * omega_max ~ 172, far out of the envelope 40
     with pytest.raises(ValueError):
         step(st, 1e-3, scheme="leapfrog")
+
+
+@pytest.mark.parametrize("dt, eps", [
+    (np.nan, 0.0), (-4e-3, 0.0), (0.0, 0.0), (np.inf, 0.0),
+    (4e-3, np.nan), (4e-3, -0.01), (4e-3, np.inf)])
+def test_step_rejects_bad_dt_and_eps_before_any_build(monkeypatch, dt, eps):
+    # NaN fails every comparison, so a guard written as `dt <= 0` lets it run a step
+    st = WaveState(0.0, mode(GRID, 1, 0.02), Field.zeros(GRID), GEO, nz=16)
+    builds = []
+
+    def no_build(*args):
+        builds.append(args)
+        raise AssertionError("built before the argument check")
+
+    for name in ("_etdrk4_coefficients", "zakharov_rhs", "mollified_rhs"):
+        monkeypatch.setattr(evolution, name, no_build)
+    with pytest.raises(ValueError, match="must be (positive|nonnegative) and finite"):
+        step(st, dt, eps)
+    assert builds == []
+
+
+@pytest.mark.parametrize("eps", [np.nan, -0.01, np.inf])
+def test_mollifier_strength_must_be_nonnegative_and_finite(eps):
+    st = WaveState(0.0, mode(GRID, 1, 0.02), Field.zeros(GRID), GEO, nz=16)
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        Mollifier(symmetrizer(st.eta)[2], eps)
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        mollified_rhs(st, eps)
 
 
 def test_etdrk4_self_convergence_nonlinear():

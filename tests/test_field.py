@@ -154,6 +154,14 @@ def test_weighted_norm_zero_and_validation(grid):
         weighted_norm(u, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("delta", [0.0, -0.1, np.nan, np.inf])
+def test_weighted_norm_rejects_a_bad_delta(delta):
+    grid = Grid(64, 2 * np.pi)
+    u = Field(grid, np.cos(grid.x))
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        weighted_norm(u, 0.5, delta)
+
+
 def test_weighted_norm_monotone_in_delta():
     grid = Grid(128, 16 * np.pi)
     u = Field(grid, np.exp(-(grid.x**2)))

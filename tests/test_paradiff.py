@@ -11,9 +11,7 @@ from capwave.field import Field, Grid, sobolev_norm
 from capwave.paradiff import (
     ProbeError,
     Quantizer,
-    adjoint_symbol,
     bony_residual,
-    compose,
     measured_regularity,
     paraproduct_defect,
     remainder_order,
@@ -24,6 +22,8 @@ from capwave.verify import _check
 from capwave.symbols import (
     Mollifier,
     Symbol,
+    adjoint_symbol,
+    compose,
     curvature_symbol,
     dn_symbol,
     elliptic_weight,

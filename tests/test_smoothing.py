@@ -83,6 +83,12 @@ def test_escape_validation():
         build_escape(0.1, 0.9, GRID)
 
 
+@pytest.mark.parametrize("delta", [0.0, -0.1, np.nan, np.inf])
+def test_escape_rejects_a_bad_delta(delta):
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        build_escape(delta, 0.05, GRID)
+
+
 def test_escape_at_origin():
     idx = np.argmin(np.abs(GRID.x))
     b = ESC.blocks()

@@ -11,7 +11,8 @@ step TAU, which carries the differenced symbol's rounding times 1/(2 TAU):
 its parts are held to 1e-12 of that symbol's principal size over 2 TAU.
 Three entries (``h_lam``, ``compose_p_dn_principal``, ``adjoint_p_principal``)
 froze a principal-only composition or adjoint; they are compared with the
-principal part of the full one.
+principal part of the full one.  Where the oracle froze no sub-principal
+part, the symbol's sub-principal traces must be exactly zero.
 """
 
 from pathlib import Path
@@ -22,11 +23,12 @@ import pytest
 from capwave.dno import Geometry
 from capwave.evolution import _symbol_time_derivative
 from capwave.field import Field, Grid
-from capwave.paradiff import adjoint_symbol, compose
 from capwave.smoothing import build_escape
 from capwave.symbols import (
     Mollifier,
     Symbol,
+    adjoint_symbol,
+    compose,
     curvature_symbol,
     dn_symbol,
     elliptic_weight,
@@ -104,9 +106,10 @@ def test_constructors_match_frozen_oracle(tag):
         else:
             scale = np.max(np.abs(ref))
             total_scale = np.max(np.abs(sym.principal_at(xi)))
-        assert (sym.subprincipal is None) == (key + "__sub" not in ORACLE.files), name
-        if sym.subprincipal is not None:
+        if key + "__sub" in ORACLE.files:
             assert rel(sym.subprincipal, ORACLE[key + "__sub"], scale) <= 1e-12, name
+        else:  # the oracle froze no sub-principal part: it is exactly zero
+            assert np.array_equal(sym.subprincipal, np.zeros((eta.grid.n, 2))), name
         assert rel(sym.total_at(xi), ORACLE[key + "__total"], total_scale) <= 1e-12, name
 
 

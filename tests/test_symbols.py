@@ -5,10 +5,12 @@ import pytest
 
 from capwave.dno import Geometry, GeometryError
 from capwave.field import Field, Grid, spectral_derivative, x_derivative
-from capwave.paradiff import compose
+from capwave.smoothing import build_escape
 from capwave.symbols import (
     Mollifier,
     Symbol,
+    adjoint_symbol,
+    compose,
     curvature_symbol,
     dn_symbol,
     elliptic_weight,
@@ -323,7 +325,7 @@ def test_subprincipal_homogeneity(monkeypatch):
     a_s, A_s = factorization(ETA, Geometry("parallel_strip", 1.0))
     syms = (dn_symbol(ETA), curvature_symbol(ETA), p, gam, parametrix(ETA, p), a_s, A_s)
     for sym in syms:
-        assert sym.subprincipal is not None, sym.name
+        assert sym.subprincipal.shape == (GRID.n, 2), sym.name
         assert subprincipal_euler_defect(sym) < 1e-12, sym.name
     # a xi-derivative taken with |xi|^(m-1) in place of |xi|^(m-2) is caught
     wrong_power = Symbol.dxi_subprincipal
@@ -331,6 +333,22 @@ def test_subprincipal_homogeneity(monkeypatch):
                         lambda self, xi: wrong_power(self, xi) * np.abs(xi))
     assert subprincipal_euler_defect(gam) > 1e-3
     assert gam.homogeneity_defect(XI) > 1e-3
+
+
+def test_every_constructor_carries_both_parts():
+    # a missing part is stored as zeros, never as a missing array
+    lam, h = dn_symbol(ETA), curvature_symbol(ETA)
+    p, q, gam = symmetrizer(ETA)
+    a_s, A_s = factorization(ETA, Geometry("parallel_strip", 1.0))
+    esc = build_escape(0.1, 0.05, GRID)
+    syms = (lam, h, p, q, gam, parametrix(ETA, p), a_s, A_s, elliptic_weight(ETA, 2.6),
+            Symbol.from_field(ETA), Symbol.from_multiplier(GRID, 1.5), esc.symbol(),
+            esc.doi_bracket(ETA), poisson_bracket(h, lam), compose(p, lam),
+            adjoint_symbol(gam))
+    for sym in syms:
+        assert sym.principal.shape == (GRID.n, 2), sym.name
+        assert sym.subprincipal.shape == (GRID.n, 2), sym.name
+    assert np.array_equal(q.subprincipal, np.zeros((GRID.n, 2)))
 
 
 def test_paraproduct_symbol():
