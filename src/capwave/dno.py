@@ -14,7 +14,10 @@ Chebyshev collocation in z.  The solver is matrix-free GMRES with iterative
 refinement, left-preconditioned by M = P_h^-1 S: P_h^-1 inverts the
 flat-interface operator at the layer's harmonic-mean depth h through the
 diagonalization in the strip table (built once per nz with the z-nodes, D_z
-and D_z^2), and S scales the interior rows by the local depth over h.
+and D_z^2), and S scales the interior rows by the local depth over h.  Where
+the local depth varies more than tenfold (_BLEND_RATIO), M applies P_h^-1 S
+at three node depths h_k instead and blends the results pointwise in x with
+Lagrange weights in log d(x), so that M follows the depth.
 Every refinement cycle aims at _TOL ||M b||, and refinement stops early once
 a cycle stagnates.  A dense assembly of the same discrete operator is kept
 as an oracle path.
@@ -57,6 +60,11 @@ _MAXITER = 150
 # a refinement cycle that cuts the residual by less than this has stagnated
 _STALL_FACTOR = 2.0
 _MAX_CYCLES = 3
+# M blends flat inverses at _BLEND_NODES depths once max d / min d of the
+# local depth exceeds _BLEND_RATIO, and keeps the one depth up to it (the
+# README's crossover table); two nodes stagnate at ratio 19
+_BLEND_RATIO = 10.0
+_BLEND_NODES = 3
 
 
 class GeometryError(ValueError):
@@ -236,15 +244,35 @@ class _Preconditioner:
     local depth.  At the harmonic-mean depth h = 1/mean(1/d) the x-mean of
     the scaled z-coefficient 1/(h d) is the flat 1/h^2.  Per mode xi,
     P_h^-1 = W diag(1/(1 - xi^2 h^2 lam)) W^-1 B^-1 diag(1, h^2, .., h^2, 1).
+
+    Where max d / min d exceeds _BLEND_RATIO, one depth fits the layer
+    poorly, and M freezes the depth pointwise instead (the parametrix idea
+    of Alazard & Metivier): it applies P_h^-1 S at the _BLEND_NODES
+    Chebyshev nodes h_k in log d over [min d, max d] and blends the results
+    in x with the Lagrange weights l_k(log d(x)), which sum to 1.  S still
+    scales only the interior rows, by d/h_k.
     """
 
     def __init__(self, op: _StripOperator):
         d = op.dz_rho_surface
         self.depth = h = float(1.0 / np.mean(1.0 / d))
-        self.left, self.right = op.table.left, op.table.right
+        self.right = op.table.right
+        if np.max(d) <= _BLEND_RATIO * np.min(d):
+            nodes, self.weights = np.array([h]), None
+            self.left = op.table.left
+            self.row_scale = d * h  # S, then the h^2 of the interior rows
+        else:
+            nodes, self.weights = _blend_weights(d)
+            # the interior rows take d before the transform and h_k after it
+            cols = np.ones((nodes.size, 1, op.nz))
+            cols[:, :, 1:-1] = nodes[:, None, None]
+            self.left = op.table.left * cols
+            self.row_scale = d
+        self.nodes = tuple(nodes.tolist())
         # xi^2 is minus the operator's own d^2/dx^2 symbol
-        self.gain = 1.0 / (1.0 + (h * h * op.table.lam)[:, None] * op._sym2[None, :])
-        self.row_scale = d * h  # S, then the h^2 of the interior rows
+        hh_lam = (nodes * nodes)[:, None] * op.table.lam
+        gain = 1.0 / (1.0 + hh_lam[:, :, None] * op._sym2)
+        self.gain = gain[0] if self.weights is None else gain
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
         w = w.copy()
@@ -252,7 +280,24 @@ class _Preconditioner:
         # the z-matrices act on the interleaved real and imaginary parts
         wh = self.left @ np.fft.rfft(w, axis=-1).view(np.float64)
         wh = self.right @ (wh.view(np.complex128) * self.gain).view(np.float64)
-        return np.fft.irfft(wh.view(np.complex128), w.shape[-1], axis=-1)
+        v = np.fft.irfft(wh.view(np.complex128), w.shape[-1], axis=-1)
+        return v if self.weights is None else np.einsum("kx,kzx->zx", self.weights, v)
+
+
+def _blend_weights(d: np.ndarray):
+    """The node depths h_k and the Lagrange weights l_k(log d(x)), shape (K, n).
+
+    The nodes are the Chebyshev points of log d over [min d, max d].
+    """
+    s = np.log(d)
+    mid, half = 0.5 * (s.max() + s.min()), 0.5 * (s.max() - s.min())
+    nodes = mid - half * np.cos(np.pi * (np.arange(_BLEND_NODES) + 0.5) / _BLEND_NODES)
+    weights = np.ones((_BLEND_NODES, s.size))
+    for k in range(_BLEND_NODES):
+        for j in range(_BLEND_NODES):
+            if j != k:
+                weights[k] *= (s - nodes[j]) / (nodes[k] - nodes[j])
+    return np.exp(nodes), weights
 
 
 @dataclass
@@ -260,11 +305,12 @@ class StripSolution:
     """Lifted potential v(x, z) on the flattened strip with its residual.
 
     ``residual`` is ||M (A v - b)|| / ||M b||, the error-equivalent metric
-    of the preconditioned system with M = P_h^-1 S at the flat depth
-    h = ``precond_depth``; the GMRES and the dense oracle path both report
-    it.  ``residual_history`` holds it after each GMRES refinement cycle and
-    ``iterations`` the total GMRES iterations (empty and 0 for the dense
-    oracle path).
+    of the preconditioned system with M = P_h^-1 S; the GMRES and the dense
+    oracle path both report it.  ``precond_depth`` is the harmonic-mean
+    depth h and ``precond_nodes`` the depths M inverts the flat operator at:
+    (h,) alone, or the blend's node depths h_k.  ``residual_history`` holds
+    the residual after each GMRES refinement cycle and ``iterations`` the
+    total GMRES iterations (empty and 0 for the dense oracle path).
     """
 
     v: np.ndarray  # (nz, n), v[0] is the surface row z = 0; z is operator.z
@@ -273,6 +319,7 @@ class StripSolution:
     residual_history: tuple = ()
     iterations: int = 0
     precond_depth: float = math.nan
+    precond_nodes: tuple = ()
 
     def trace_dn(self) -> Field:
         """(1+eta_x^2)/dz_rho * dv/dz - eta_x * dv/dx at z = 0."""
@@ -311,12 +358,14 @@ def solve_strip(eta: Field, psi: Field, geo: Geometry, nz: int,
         cycles = (f"{iterations} GMRES iterations, cycle residuals "
                   + ", ".join(f"{h:.3e}" for h in history) if history
                   else "direct solve, no GMRES cycles")
+        nodes = (" (nodes " + ", ".join(f"{h:.6g}" for h in precond.nodes) + ")"
+                 if len(precond.nodes) > 1 else "")
         raise SolverError(
             f"strip solve residual {res:.3e} above tolerance (method={method}, "
-            f"preconditioner depth {precond.depth:.6g}, {cycles})",
+            f"preconditioner depth {precond.depth:.6g}{nodes}, {cycles})",
             residual=res, residual_history=history, iterations=iterations,
         )
-    return StripSolution(v, res, op, history, iterations, precond.depth)
+    return StripSolution(v, res, op, history, iterations, precond.depth, precond.nodes)
 
 
 def _gmres_solve(op: _StripOperator, precond, b: np.ndarray):

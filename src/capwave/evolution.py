@@ -81,7 +81,7 @@ class WaveState:
 
     Everything the right-hand sides derive from the state alone (G(eta)psi,
     B and V, the symbols lambda, h, p, q and gamma, the paraproducts T_B and
-    T_V) is built here once, on first use.
+    T_V, and T_gamma) is built here once, on first use.
     """
 
     def __init__(self, t: float, eta: Field, psi: Field, geo: Geometry,
@@ -139,6 +139,11 @@ class WaveState:
     def t_v(self) -> DenseOp:
         """The paraproduct T_V, built once per state."""
         return self.quantizer.operator(Symbol.from_field(self.v_field, name="V"))
+
+    @cached_property
+    def t_gamma(self) -> DenseOp:
+        """The symmetrizer's T_gamma, built once per state."""
+        return self.quantizer.operator(self.symmetrizer_symbols[2])
 
     @cached_property
     def u_good(self) -> Field:
@@ -606,7 +611,7 @@ def symmetrized_residuals(state: WaveState) -> dict:
     """
     quant = state.quantizer
     der = time_derivatives(state)
-    p, q, gam = state.symmetrizer_symbols
+    p, q, _ = state.symmetrizer_symbols
     dt_p, dt_q = _symbol_time_derivative(state.eta, der["eta_t"])
     t_p, t_q = quant.operator(p), quant.operator(q)
 
@@ -616,8 +621,7 @@ def symmetrized_residuals(state: WaveState) -> dict:
     phi1_t = (t_p(der["eta_t"]) + quant.quantize(dt_p, state.eta)).real()
     phi2_t = (t_q(u_t) + quant.quantize(dt_q, state.u_good)).real()
 
-    t_v = state.t_v
-    t_g = quant.operator(gam)
+    t_v, t_g = state.t_v, state.t_gamma
     phi1 = t_p(state.eta).real()
     phi2 = t_q(state.u_good).real()
     f1 = (phi1_t + t_v(x_derivative(phi1)) - t_g(phi2)).real()

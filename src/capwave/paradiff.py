@@ -68,8 +68,10 @@ class Quantizer:
         self._cut = cut.ravel()[self._support]
         rows, self._cols = np.divmod(self._support, n)
         theta = np.mod(k[rows] - k[self._cols], n)
-        self._sign_index = theta * 4 + (grid.xi[self._cols] < 0)
+        sign = grid.xi[self._cols] < 0
+        self._sign_index = theta * 4 + sign
         self._sub_index = self._sign_index + 2
+        self._principal_index = theta * 2 + sign  # principal traces alone
         self._identity_index = theta * n + self._cols
         # |eta| where psi does not vanish (|eta| > 1), so negative powers stay finite
         self._absxi = np.where(psi > 0, np.abs(grid.xi), 1.0)
@@ -81,15 +83,20 @@ class Quantizer:
         (x, xi) sample: one transform of the (n, 4) stack of principal and
         sub-principal traces, then column eta gathers the principal
         transform at sgn(eta) times |eta|^order plus the sub-principal one
-        times |eta|^(order - 1).  A :class:`Mollifier` is sampled on the
-        full grid (``sample_grid``) and gathered at column eta itself.  Only
-        entries inside the support of chi(theta, eta) psi(eta) are computed.
+        times |eta|^(order - 1).  A symbol whose sub-principal part is all
+        zero transforms and gathers its principal traces alone.  A
+        :class:`Mollifier` is sampled on the full grid (``sample_grid``) and
+        gathered at column eta itself.  Only entries inside the support of
+        chi(theta, eta) psi(eta) are computed.
         """
         if symbol.grid != self.grid:
             raise ValueError("symbol and quantizer live on different grids")
         if isinstance(symbol, Mollifier):
             ahat = series_coefficients(symbol.sample_grid(), self.grid, axis=0)
             entries = np.take(ahat, self._identity_index)
+        elif not symbol.subprincipal.any():  # q, 1/q, T_B, T_V: no transform of zeros
+            ahat = series_coefficients(symbol.principal, self.grid, axis=0)
+            entries = np.take(ahat, self._principal_index) * self._column_weight(symbol.order)
         else:
             ahat = series_coefficients(
                 np.concatenate([symbol.principal, symbol.subprincipal], axis=1),

@@ -247,8 +247,7 @@ def af_identity_check(states: list[WaveState], esc: EscapeSymbol) -> dict:
         # the complex scalar reduction Phi = Phi1 + i Phi2 and its residual
         res = symmetrized_residuals(st)
         phi, f_res = res["phi"], res["f"]
-        t_g = quant.operator(st.symmetrizer_symbols[2])
-        t_v = st.t_v
+        t_g, t_v = st.t_gamma, st.t_v
         c_op_phi = (t_g(t_a(phi)) - t_a(t_g(phi))) * 1j
         term_c = l2_inner(c_op_phi, phi).real
         adj_defect = l2_inner((t_g.adjoint()(t_a(phi)) - t_g(t_a(phi))) * 1j, phi).real

@@ -174,6 +174,37 @@ def test_parallel_strip_preconditioner_is_flat_inverse_at_strip_depth():
     assert np.max(np.abs(precond(w) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_blend_stays_off_up_to_the_ratio():
+    # a layer whose depth varies at most tenfold keeps M at the one depth h
+    for amp in (0.3, 0.8):
+        op = dno._StripOperator(cos_field(GRID, 1, amp), FLAT, 16)
+        precond = dno._Preconditioner(op)
+        assert precond.weights is None
+        assert precond.nodes == (precond.depth,)
+
+
+@pytest.mark.parametrize("nz", [16, 48])
+def test_blended_preconditioner_matches_weighted_flat_solves(nz):
+    # depth 0.1 .. 1.9, ratio 19: M is the l_k(log d)-weighted sum of the
+    # flat inverses P_{h_k}^-1 S_k at the three nodes, S_k = d/h_k inside
+    op = dno._StripOperator(cos_field(GRID, 1, 0.9), FLAT, nz)
+    precond = dno._Preconditioner(op)
+    d = 1.0 + 0.9 * np.cos(GRID.x)
+    assert len(precond.nodes) == 3
+    assert d.min() < precond.nodes[0] < precond.nodes[1] < precond.nodes[2] < d.max()
+    assert abs(precond.nodes[1] - np.sqrt(d.min() * d.max())) <= 1e-14
+    assert np.max(np.abs(precond.weights.sum(axis=0) - 1.0)) <= 1e-14
+    w = np.random.default_rng(5).standard_normal((nz, GRID.n))
+    ref = np.zeros_like(w)
+    for h, weight in zip(precond.nodes, precond.weights):
+        scaled = w.copy()
+        scaled[1:-1] *= d / h
+        ref += weight * flat_inverse_reference(scaled, nz, h, GRID.xi)
+    out = precond(w)
+    assert np.isrealobj(out)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_preconditioner_is_freed_without_the_cycle_collector():
     # M holds no reference cycle, so each solve's arrays go with the solve
     op = dno._StripOperator(cos_field(GRID, 1, 0.3), FLAT, 16)
@@ -224,6 +255,8 @@ def test_stagnating_solve_reports_residual_history(monkeypatch):
     assert exc.iterations > 0
     assert "cycle residuals" in str(exc)
     assert f"preconditioner depth {np.sqrt(1 - 0.9**2):.6g}" in str(exc)
+    nodes = dno._Preconditioner(dno._StripOperator(eta, FLAT, 16)).nodes
+    assert "(nodes " + ", ".join(f"{h:.6g}" for h in nodes) + ")" in str(exc)
 
 
 def test_dense_solve_error_names_no_cycles(monkeypatch):
@@ -239,17 +272,20 @@ def test_dense_solve_error_names_no_cycles(monkeypatch):
 
 
 def test_large_amplitude_solve_takes_one_cycle():
-    # M at the harmonic-mean depth keeps the 0.9-depth solve of rough psi
-    # inside one GMRES cycle in 53 iterations (28 at 0.7); at h0 with the
-    # scale d/h0 these took 109 (39), and at 0.9 the flat preconditioner at
-    # h0 alone (241) and the squared scale (184) need two cycles
+    # M at the harmonic-mean depth keeps the 0.7-depth solve of rough psi
+    # (depth ratio 5.7) inside one GMRES cycle in 28 iterations; at 0.9
+    # (ratio 19) M blends three depths and takes 26, where the one depth
+    # took 53.  At h0 with the scale d/h0 these took 39 and 109, and at 0.9
+    # the flat preconditioner at h0 alone (241) and the squared scale (184)
+    # need two cycles
     grid = Grid(128, 2 * np.pi)
     psi = power_law_field(grid, 2.0, 1)
-    for amp, most in ((0.7, 32), (0.9, 60)):
+    for amp, most, nodes in ((0.7, 32, 1), (0.9, 32, 3)):
         sol = solve_strip(cos_field(grid, 1, amp), psi, FLAT, 48)
         assert len(sol.residual_history) == 1
         assert sol.iterations <= most
         assert abs(sol.precond_depth - np.sqrt(1 - amp**2)) <= 1e-14
+        assert len(sol.precond_nodes) == nodes
 
 
 def test_thin_smooth_layer_solve_takes_one_cycle():
@@ -260,6 +296,17 @@ def test_thin_smooth_layer_solve_takes_one_cycle():
     sol = solve_strip(eta, power_law_field(grid, 2.0, 1), FLAT, 48)
     assert len(sol.residual_history) == 1
     assert sol.iterations <= 60
+
+
+def test_thinner_smooth_layer_blends_and_takes_one_cycle():
+    # the same trough down to depth 0.05 (ratio 19.6) took 67 iterations
+    # with M at the harmonic-mean depth; the three-depth blend takes 21
+    grid = Grid(128, 2 * np.pi)
+    eta = Field(grid, -0.95 * np.exp(-2.0 * (1.0 - np.cos(grid.x))))
+    sol = solve_strip(eta, power_law_field(grid, 2.0, 1), FLAT, 48)
+    assert len(sol.precond_nodes) == 3
+    assert len(sol.residual_history) == 1
+    assert sol.iterations <= 30
 
 
 def test_refinement_cycle_aims_at_the_solve_target(monkeypatch):

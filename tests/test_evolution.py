@@ -157,9 +157,9 @@ def test_t_v_is_built_once_per_state(monkeypatch):
 
 
 def test_symmetrized_residuals_build_each_operator_once(monkeypatch):
-    # T_b(t), T_p, dt T_p, T_q, dt T_q and T_gamma per call, plus the
-    # state's cached T_B and T_V; af_identity_check adds T_a once and
-    # T_gamma once per state
+    # T_b(t), T_p, dt T_p, T_q, dt T_q per call, plus the state's cached
+    # T_B, T_V and T_gamma; af_identity_check adds T_a once and reuses
+    # each state's T_gamma
     states = [WaveState(0.1 * i, mode(GRID, 1, 0.01 + 0.002 * i), mode(GRID, 2, 0.01, 0.4),
                         GEO, nz=24) for i in range(3)]
     built = []
@@ -174,7 +174,7 @@ def test_symmetrized_residuals_build_each_operator_once(monkeypatch):
     assert len(built) == 8, built
     built.clear()
     af_identity_check([st.replace() for st in states], build_escape(0.1, 0.05, GRID))
-    assert len(built) == 28, built
+    assert len(built) == 25, built
 
 
 def test_symmetrized_residuals_build_three_symmetrizers(monkeypatch):
