@@ -9,11 +9,13 @@ that the eps = 0 system coincides with the raw one identically, not just to
 leading order; for eps > 0 the same uniform commutation identities hold as
 for the plain paradifferential mollifier.
 
-One integrator, ETDRK4 (Cox & Matthews 2002, with the Kassam & Trefethen 2005
-contour averages), solves the flat-interface linearization exactly.  That
-linearization is tabled once per grid and geometry, diagonalized per mode by
-the canonical (eta, psi) -> (w+, w-) transform; the step, the normal variable
-:func:`diagonalize` and :func:`dispersion_fit` all read the same table.
+One integrator, ETDRK4 (Cox & Matthews 2002, with Kassam & Trefethen 2005
+contour averages over the full circle, as z = i omega dt is imaginary), solves
+the flat-interface linearization exactly.  That linearization is tabled once
+per grid and geometry and diagonalized per mode by the normal variable
+w+ = alpha eta^ - i beta psi^; w-(xi) = conj w+(-xi) for every real state, so
+the step advances w+ alone.  The step, :func:`diagonalize` and
+:func:`dispersion_fit` all read the same table.
 """
 
 from __future__ import annotations
@@ -163,11 +165,11 @@ class WaveState:
     def symmetrizer_symbols(self):
         return symmetrizer(self.eta, self.lam, self.curv)
 
-    def replace(self, t=None, eta=None, psi=None, check=False) -> "WaveState":
+    def replace(self, t=None, eta=None, psi=None) -> "WaveState":
         return WaveState(self.t if t is None else t,
                          self.eta if eta is None else eta,
                          self.psi if psi is None else psi,
-                         self.geo, self.nz, self.tail_tol, check=check)
+                         self.geo, self.nz, self.tail_tol, check=False)
 
 
 def curvature(eta: Field) -> Field:
@@ -293,11 +295,12 @@ def hamiltonian(state: WaveState) -> tuple[float, float]:
 class _FlatModes:
     """The flat-interface linearization per grid mode, built once per (grid, geometry).
 
-    Mode xi rotates at omega = sqrt(|xi| tanh(depth |xi|) (g + kappa xi^2)),
-    diagonalized by the canonical (eta, psi) -> (w+, w-) transform with
-    weights alpha = (stiff / omega_g)^(1/4) and beta = 1 / alpha.  Modes
-    outside ``linear_mask`` (xi = 0, and any mode without stiffness) carry
-    (eta, psi) unchanged.
+    Mode xi rotates at omega = sqrt(|xi| tanh(depth |xi|) (g + kappa xi^2)).
+    The state is w = w+ = alpha eta^ - i beta psi^, one value per mode, with
+    alpha = (stiff / omega_g)^(1/4) and beta = 1 / alpha; its partner
+    w-(xi) = alpha eta^ + i beta psi^ = conj w+(-xi) is read off w+.  Modes
+    outside ``linear_mask`` (xi = 0, and any mode without stiffness) take
+    alpha = beta = 1 and omega = 0, so they need no branch.
     """
 
     def __init__(self, grid: Grid, geo: Geometry):
@@ -311,21 +314,18 @@ class _FlatModes:
         self.linear_mask = (omega_g > 0) & (stiff > 0)
         safe_g = np.where(self.linear_mask, omega_g, 1.0)
         safe_s = np.where(self.linear_mask, stiff, 1.0)
-        self.alpha = np.where(self.linear_mask, (safe_s / safe_g) ** 0.25, 1.0)
-        self.beta = np.where(self.linear_mask, (safe_g / safe_s) ** 0.25, 1.0)
+        self.alpha = (safe_s / safe_g) ** 0.25
+        self.beta = (safe_g / safe_s) ** 0.25
+        # index of the mode -xi, for w-(xi) = conj w(-xi)
+        self.flip = (-grid.k) % grid.n
 
     def to_w(self, eta_c: np.ndarray, psi_c: np.ndarray) -> np.ndarray:
-        wp = np.where(self.linear_mask,
-                      self.alpha * eta_c - 1j * self.beta * psi_c, eta_c)
-        wm = np.where(self.linear_mask,
-                      self.alpha * eta_c + 1j * self.beta * psi_c, psi_c)
-        return np.concatenate([wp, wm])
+        return self.alpha * eta_c - 1j * self.beta * psi_c
 
     def from_w(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        wp, wm = np.split(w, 2)
-        eta_c = np.where(self.linear_mask, (wp + wm) / (2.0 * self.alpha), wp)
-        psi_c = np.where(self.linear_mask, (wm - wp) / (2j * self.beta), wm)
-        return eta_c, psi_c
+        """Spectra of eta and psi, Hermitian for any complex w."""
+        w_minus = np.conj(w[self.flip])
+        return (w + w_minus) / (2.0 * self.alpha), (w_minus - w) / (2j * self.beta)
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
@@ -341,7 +341,7 @@ def diagonalize(state: WaveState) -> Field:
     (xi = 0 among them) are dropped.
     """
     modes = _flat_modes(state.grid, state.geo)
-    wp = modes.to_w(state.eta.spectrum, state.psi.spectrum)[:state.grid.n]
+    wp = modes.to_w(state.eta.spectrum, state.psi.spectrum)
     return Field.from_spectrum(state.grid,
                                np.where(modes.linear_mask, wp / np.sqrt(2.0), 0.0))
 
@@ -376,20 +376,22 @@ _N_CONTOUR = 32
 
 
 class _Etdrk4Coefficients:
-    """Per-mode exponential coefficients for the diagonalized linear flow."""
+    """Per-mode exponential coefficients of the linear flow dw/dt = i omega_eff w.
+
+    z = i omega_eff dt is imaginary, so the phi-function averages run over the
+    full circle around z; the upper half circle with a real part holds only
+    for a real linear part.
+    """
 
     def __init__(self, grid: Grid, geo: Geometry, dt: float, eps: float):
         self.modes = modes = _flat_modes(grid, geo)
         # mollified flat linearization: rotation slowed by the symbol factor
         slow = 1.0 + (np.exp(-eps * np.abs(grid.xi) ** 1.5) - 1.0) * psi_cut(grid.xi)
         self.omega_eff = modes.omega * slow
-
-        lam = np.concatenate([1j * self.omega_eff * modes.linear_mask,
-                              -1j * self.omega_eff * modes.linear_mask])
-        z = dt * lam
-        theta = np.pi * (np.arange(_N_CONTOUR) + 0.5) / _N_CONTOUR
-        ring = np.exp(1j * theta)
-        zr = z[:, None] + ring[None, :]
+        self.lam = 1j * self.omega_eff
+        z = dt * self.lam
+        theta = 2.0 * np.pi * (np.arange(_N_CONTOUR) + 0.5) / _N_CONTOUR
+        zr = z[:, None] + np.exp(1j * theta)[None, :]
         # Kassam-Trefethen contour averages of the phi functions
         self.E = np.exp(z)
         self.E2 = np.exp(z / 2.0)
@@ -400,7 +402,6 @@ class _Etdrk4Coefficients:
             (2.0 + zr + np.exp(zr) * (zr - 2.0)) / zr**3, axis=1)
         self.f3 = dt * np.mean(
             (-4.0 - 3.0 * zr - zr**2 + np.exp(zr) * (4.0 - zr)) / zr**3, axis=1)
-        self.lam = lam
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
@@ -437,27 +438,25 @@ def _etdrk4_step(state, dt, eps, coeff):
     grid = state.grid
     modes = coeff.modes
 
-    def nonlinear(s: WaveState) -> np.ndarray:
+    def nonlinear(s: WaveState, w: np.ndarray) -> np.ndarray:
         # the raw system at eps = 0, where the mollified one equals it exactly
         fe, fp = zakharov_rhs(s) if eps == 0.0 else mollified_rhs(s, eps)
-        full = modes.to_w(fe.spectrum, fp.spectrum)
-        base = modes.to_w(s.eta.spectrum, s.psi.spectrum)
-        return full - coeff.lam * base
+        return modes.to_w(fe.spectrum, fp.spectrum) - coeff.lam * w
 
     def to_state(w: np.ndarray, t: float) -> WaveState:
         eta_c, psi_c = modes.from_w(w)
-        return state.replace(t=t, eta=Field.from_spectrum(grid, eta_c).real(),
-                             psi=Field.from_spectrum(grid, psi_c).real())
+        return state.replace(t=t, eta=Field.from_spectrum(grid, eta_c),
+                             psi=Field.from_spectrum(grid, psi_c))
 
     t = state.t
     w0 = modes.to_w(state.eta.spectrum, state.psi.spectrum)
-    n0 = nonlinear(state)
+    n0 = nonlinear(state, w0)
     a = coeff.E2 * w0 + coeff.Q * n0
-    na = nonlinear(to_state(a, t + dt / 2))
+    na = nonlinear(to_state(a, t + dt / 2), a)
     b = coeff.E2 * w0 + coeff.Q * na
-    nb = nonlinear(to_state(b, t + dt / 2))
+    nb = nonlinear(to_state(b, t + dt / 2), b)
     c = coeff.E2 * a + coeff.Q * (2.0 * nb - n0)
-    nc = nonlinear(to_state(c, t + dt))
+    nc = nonlinear(to_state(c, t + dt), c)
     w1 = coeff.E * w0 + coeff.f1 * n0 + 2.0 * coeff.f2 * (na + nb) + coeff.f3 * nc
     return to_state(w1, t + dt)
 

@@ -24,10 +24,11 @@ from .evolution import WaveState, dispersion_fit, mollified_rhs, monitor, run, \
 from .field import Field, Grid, l2_inner, sobolev_norm, spectral_derivative, \
     x_derivative
 from .paradiff import Quantizer, remainder_order, shell_field
-from .smoothing import af_identity_check, bound_check, build_escape, garding_fit, \
+from .smoothing import _phi, af_identity_check, bound_check, build_escape, garding_fit, \
     kato_integral, unweighted_integral
 from .symbols import Mollifier, Symbol, adjoint_symbol, compose, curvature_symbol, \
-    dn_symbol, elliptic_weight, parametrix, poisson_bracket, seminorm, symmetrizer
+    dn_symbol, elliptic_weight, factorization, parametrix, poisson_bracket, seminorm, \
+    symmetrizer
 
 SUITES = ("dno", "calculus", "symbols", "smoothing", "evolution")
 
@@ -224,7 +225,6 @@ def _suite_symbols(seed: int, timings: dict) -> list:
     real = max(s.reality_defect() for s in (lam, h, p, q, gam))
     checks.append(_check("symbols.reality", real, 1e-10))
 
-    from .symbols import factorization
     geo = Geometry("parallel_strip", 1.0)
     a_s, A_s = factorization(eta, geo)
     al = (1.0 + slope**2) / geo.depth**2
@@ -368,7 +368,6 @@ def _suite_smoothing(seed: int, timings: dict) -> list:
                          np.max(np.abs(b["psi0"] + b["psip"] + b["psim"] - 1.0)),
                          1e-12))
     y = b["y"]
-    from .smoothing import _phi
     odd = np.max(np.abs((_phi(y / esc.eps_doi) - _phi(-y / esc.eps_doi))
                         - np.sign(y) * _phi(np.abs(y) / esc.eps_doi)))
     checks.append(_check("smoothing.sign_structure", odd, 1e-12))

@@ -1,5 +1,6 @@
 """Evolution: dispersion, conservation, residual smoothness, mollifier checks."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -394,6 +395,73 @@ def test_etdrk4_self_convergence_nonlinear():
     err1 = np.max(np.abs(integrate(t_final / 5) - ref))
     err2 = np.max(np.abs(integrate(t_final / 10) - ref))
     assert 10 <= err1 / err2 <= 24
+
+
+def phi(k, z):
+    """phi_k(z) = sum_j z^j / (j + k)!, summed to rounding for |z| <= 3."""
+    return sum(z**j / math.factorial(j + k) for j in range(40))
+
+
+@pytest.mark.parametrize("dt, eps", [(5e-3, 0.0), (4e-3, 0.01)])
+def test_etdrk4_coefficients_match_closed_forms(dt, eps):
+    # z = i omega dt is imaginary, so only the full-circle contour average meets
+    # the closed forms; the upper half circle misses Q by 16% and f1 by 66% at
+    # eps = 0.  Below |z| = 0.5 the closed forms lose digits to cancellation,
+    # so every mode is also held to their phi-function series (at eps = 0.01
+    # every mode is below: max |z| = 0.15)
+    grid = Grid(128, 2 * np.pi)
+    coeff = evolution._etdrk4_coefficients(grid, GEO, dt, eps)
+    z = dt * 1j * coeff.omega_eff
+    series = {"E": np.exp(z), "E2": np.exp(z / 2), "Q": dt / 2 * phi(1, z / 2),
+              "f1": dt * (phi(1, z) - 3 * phi(2, z) + 4 * phi(3, z)),
+              "f2": dt * (phi(2, z) - 2 * phi(3, z)),
+              "f3": dt * (4 * phi(3, z) - phi(2, z))}
+    big = np.abs(z) >= 0.5
+    zb, eb = z[big], np.exp(z[big])
+    closed = {"Q": dt * (np.exp(zb / 2) - 1) / zb,
+              "f1": dt * (-4 - zb + eb * (4 - 3 * zb + zb**2)) / zb**3,
+              "f2": dt * (2 + zb + eb * (zb - 2)) / zb**3,
+              "f3": dt * (-4 - 3 * zb - zb**2 + eb * (4 - zb)) / zb**3}
+    for name, want in series.items():
+        got = getattr(coeff, name)
+        assert got.shape == (grid.n,), name
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12, name
+        if name in closed:
+            rel = np.abs(got[big] - closed[name]) / np.abs(closed[name])
+            assert np.max(rel, initial=0.0) <= 1e-12, name
+
+
+@pytest.mark.parametrize("geo", [GEO, Geometry("flat_bottom", 1.0, g=0.0, kappa=0.0)],
+                         ids=["default", "no-stiffness"])
+def test_normal_variable_round_trip(geo):
+    # random real fields carry xi = 0 and Nyquist; at g = kappa = 0 no mode is linear
+    modes = evolution._flat_modes(GRID, geo)
+    assert modes.linear_mask.any() == (geo.g > 0)
+    rng = np.random.default_rng(7)
+    eta, psi = (Field(GRID, rng.standard_normal(GRID.n)) for _ in range(2))
+    w = modes.to_w(eta.spectrum, psi.spectrum)
+    assert w.shape == (GRID.n,)
+    for got, want in zip(modes.from_w(w), (eta.spectrum, psi.spectrum)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # any complex w gives exactly Hermitian spectra
+    w = rng.standard_normal(GRID.n) + 1j * rng.standard_normal(GRID.n)
+    flip = (-GRID.k) % GRID.n
+    for spec in modes.from_w(w):
+        assert np.array_equal(spec[flip], np.conj(spec))
+
+
+def test_run_without_stiffness_stays_finite_and_real():
+    # g = kappa = 0: omega = 0 on every mode, the step is the plain RK4 limit
+    geo = Geometry("flat_bottom", 1.0, g=0.0, kappa=0.0)
+    st = WaveState(0.0, mode(GRID, 1, 0.02), mode(GRID, 2, 0.02, 0.4), geo, nz=24)
+    traj = run(st, 2e-3, 20, state_stride=1)
+    assert len(traj.states) == 21
+    for cur in traj.states:
+        for f in (cur.eta, cur.psi):
+            assert f.is_real and np.all(np.isfinite(f.values))
+    assert np.max(np.abs(traj.states[-1].eta.values - st.eta.values)) > 1e-4
+    h0 = traj.records[0].hamiltonian
+    assert max(abs(r.hamiltonian - h0) for r in traj.records) <= 1e-10 * h0
 
 
 def test_hamiltonian_zero_and_small_amplitude_limit():
