@@ -45,6 +45,7 @@ __all__ = [
     "SolverError",
     "solve_strip",
     "dirichlet_neumann",
+    "surface_flux",
     "compute_B_V",
     "shape_derivative",
     "cancellation_residual",
@@ -475,13 +476,22 @@ def flat_dn_multiplier(geo: Geometry, xi: np.ndarray) -> np.ndarray:
     return np.abs(xi) * np.tanh(geo.depth * np.abs(xi))
 
 
-def compute_B_V(eta: Field, psi: Field, g_psi: Field) -> tuple[Field, Field]:
-    """Vertical and horizontal velocity traces B and V at the surface."""
+def surface_flux(eta: Field, psi: Field, g_psi: Field) -> Field:
+    """eta_x psi_x + G(eta)psi, the numerator of B (dealiased product)."""
+    return dealiased_product(x_derivative(eta), x_derivative(psi)) + g_psi
+
+
+def compute_B_V(eta: Field, psi: Field, g_psi: Field,
+                flux: Field | None = None) -> tuple[Field, Field]:
+    """Vertical and horizontal velocity traces B and V at the surface.
+
+    ``flux`` is :func:`surface_flux` of the same (eta, psi, g_psi) when the
+    caller holds it already.
+    """
     ex = x_derivative(eta)
-    px = x_derivative(psi)
-    num = dealiased_product(ex, px) + g_psi
+    num = surface_flux(eta, psi, g_psi) if flux is None else flux
     b_field = Field(eta.grid, num.values / (1.0 + ex.values**2))
-    v_field = px - dealiased_product(b_field, ex)
+    v_field = x_derivative(psi) - dealiased_product(b_field, ex)
     return b_field, v_field
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .cutoffs import psi_cut
 from .dno import Geometry, GeometryError, SolverError, compute_B_V, dirichlet_neumann, \
-    flat_dn_multiplier
+    flat_dn_multiplier, surface_flux
 from .field import (
     CACHE_MAXSIZE,
     Field,
@@ -82,8 +82,9 @@ class WaveState:
     """Instantaneous (eta, psi) with lazily cached derived quantities.
 
     Everything the right-hand sides derive from the state alone (G(eta)psi,
-    B and V, the symbols lambda, h, p, q and gamma, the paraproducts T_B and
-    T_V, and T_gamma) is built here once, on first use.
+    the surface flux eta_x psi_x + G(eta)psi, B and V, the symbols lambda,
+    h, p, q and gamma, the paraproducts T_B and T_V, and T_gamma) is built
+    here once, on first use.
     """
 
     def __init__(self, t: float, eta: Field, psi: Field, geo: Geometry,
@@ -121,8 +122,13 @@ class WaveState:
         return dirichlet_neumann(self.eta, self.psi, self.geo, self.nz)
 
     @cached_property
+    def flux(self) -> Field:
+        """eta_x psi_x + G(eta)psi, shared by B and the raw psi_t."""
+        return surface_flux(self.eta, self.psi, self.g_psi)
+
+    @cached_property
     def _b_v(self) -> tuple[Field, Field]:
-        return compute_B_V(self.eta, self.psi, self.g_psi)
+        return compute_B_V(self.eta, self.psi, self.g_psi, self.flux)
 
     @property
     def b_field(self) -> Field:
@@ -181,11 +187,11 @@ def curvature(eta: Field) -> Field:
 
 def zakharov_rhs(state: WaveState) -> tuple[Field, Field]:
     """Right-hand sides of the raw surface evolution."""
-    return state.g_psi, _raw_psi_t(state, x_derivative(state.eta), x_derivative(state.psi))
+    return state.g_psi, _raw_psi_t(state)
 
 
-def _raw_psi_t(state: WaveState, ex: Field, px: Field) -> Field:
-    """psi_t of the raw system, given eta_x and psi_x.
+def _raw_psi_t(state: WaveState) -> Field:
+    """psi_t of the raw system.
 
     :func:`paralinear_residuals` shares it without calling
     :func:`zakharov_rhs`, so that each zakharov_rhs call is one raw
@@ -193,8 +199,8 @@ def _raw_psi_t(state: WaveState, ex: Field, px: Field) -> Field:
     """
     geo = state.geo
     eta = state.eta
-    num = dealiased_product(ex, px) + state.g_psi
-    quad = dealiased_product(num, num)
+    ex, px = x_derivative(eta), x_derivative(state.psi)
+    quad = dealiased_product(state.flux, state.flux)
     return (
         -geo.g * eta
         + geo.kappa * curvature(eta)
@@ -213,7 +219,7 @@ def paralinear_residuals(state: WaveState) -> tuple[Field, Field]:
 
     f1 = g_psi - quant.quantize(state.lam, state.u_good) + t_v(ex)
     f2 = (
-        _raw_psi_t(state, ex, px)
+        _raw_psi_t(state)
         + t_v(px)
         - t_b(t_v(ex))
         - t_b(g_psi)

@@ -3,8 +3,10 @@
 Conventions
 -----------
 Grid points are x_j = -L/2 + j*L/n and frequencies xi_k = 2*pi*k/L in the
-symmetric integer band (numpy fft ordering).  A field stores collocation
-values; its spectrum holds the Fourier-series coefficients c_k defined by
+symmetric integer band (numpy fft ordering).  A field is immutable: it is
+built from collocation values or from a spectrum, and its values, spectrum
+and first derivative are each computed once, on first read.  The spectrum
+holds the Fourier-series coefficients c_k defined by
 
     u(x) = sum_k c_k exp(i xi_k x),
 
@@ -82,35 +84,60 @@ class Grid:
 
 
 class Field:
-    """Grid function with synchronized physical and spectral representations."""
+    """Immutable grid function; its values, spectrum and first derivative are
+    each computed once, on first read.
 
-    def __init__(self, grid: Grid, values: np.ndarray, spectrum: np.ndarray | None = None):
+    A field built from values transforms them to the spectrum on the first
+    read of :attr:`spectrum`; one built by :meth:`from_spectrum` runs the
+    inverse transform on the first read of :attr:`values`.  No code changes
+    a field after it is built, so every cached representation stays valid.
+    """
+
+    __slots__ = ("grid", "_values", "_spectrum", "_derivative")
+
+    def __init__(self, grid: Grid, values: np.ndarray):
         values = np.asarray(values)
         if values.shape != (grid.n,):
             raise ValueError(f"values shape {values.shape} incompatible with {grid}")
         self.grid = grid
-        self.values = values
-        self._spectrum = spectrum
+        self._values = values
+        self._spectrum = None  # transformed on first read
+        self._derivative = None  # the first derivative, stored by x_derivative
 
     @classmethod
     def from_spectrum(cls, grid: Grid, coeffs) -> "Field":
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.shape != (grid.n,):
             raise ValueError("spectrum length must equal grid size")
-        vals = np.fft.ifft(coeffs / grid._phase * grid.n)
-        if np.max(np.abs(vals.imag)) <= 1e-13 * max(np.max(np.abs(vals.real)), 1e-300):
-            vals = vals.real
-        return cls(grid, vals, spectrum=coeffs)
+        out = cls.__new__(cls)
+        out.grid = grid
+        out._values = None  # synthesized on first read
+        out._spectrum = coeffs
+        out._derivative = None
+        return out
 
     @classmethod
     def zeros(cls, grid: Grid) -> "Field":
         return cls(grid, np.zeros(grid.n))
 
     @property
+    def values(self) -> np.ndarray:
+        """Collocation values.  Synthesized from the spectrum on first read,
+        they are real unless their imaginary part exceeds 1e-13 of the real
+        part's size."""
+        if self._values is None:
+            grid = self.grid
+            vals = np.fft.ifft(self._spectrum / grid._phase * grid.n)
+            if np.max(np.abs(vals.imag)) <= 1e-13 * max(np.max(np.abs(vals.real)), 1e-300):
+                vals = vals.real
+            self._values = vals
+        return self._values
+
+    @property
     def spectrum(self) -> np.ndarray:
         """Fourier-series coefficients c_k (numpy fft ordering)."""
         if self._spectrum is None:
-            self._spectrum = series_coefficients(self.values, self.grid)
+            self._spectrum = series_coefficients(self._values, self.grid)
         return self._spectrum
 
     @property
@@ -219,8 +246,15 @@ def spectral_derivative(samples: np.ndarray, grid: Grid, order: int = 1,
 
 
 def x_derivative(u: Field, order: int = 1) -> Field:
-    """Spectral d^order/dx^order of a field (see :func:`spectral_derivative`)."""
-    return Field(u.grid, spectral_derivative(u.values, u.grid, order))
+    """Spectral d^order/dx^order of a field (see :func:`spectral_derivative`).
+
+    The first derivative is computed once per field and stored on it.
+    """
+    if order != 1:
+        return Field(u.grid, spectral_derivative(u.values, u.grid, order))
+    if u._derivative is None:
+        u._derivative = Field(u.grid, spectral_derivative(u.values, u.grid, 1))
+    return u._derivative
 
 
 def sobolev_norm(u: Field, s: float) -> float:

@@ -105,7 +105,7 @@ class Quantizer:
                        + np.take(ahat, self._sub_index)
                        * self._column_weight(symbol.order - 1.0))
         out = np.zeros((self.grid.n, self.grid.n), dtype=complex)
-        out.flat[self._support] = self._cut * entries
+        out.reshape(-1)[self._support] = self._cut * entries
         return out
 
     def _column_weight(self, order: float) -> np.ndarray:

@@ -23,13 +23,15 @@ from capwave.evolution import (
     time_derivatives,
     zakharov_rhs,
 )
-from capwave.field import CACHE_MAXSIZE, Field, Grid, derivative_symbol, sobolev_norm
+from capwave.field import CACHE_MAXSIZE, Field, Grid, derivative_symbol, sobolev_norm, \
+    spectral_derivative
 from capwave.paradiff import Quantizer, measured_regularity
 from capwave.smoothing import af_identity_check, build_escape
 from capwave.symbols import Mollifier, Symbol, symmetrizer
 
 GRID = Grid(64, 2 * np.pi)
 GEO = Geometry("flat_bottom", 1.0, g=1.0, kappa=1.0)
+MONITOR_EPS = Path(__file__).resolve().parents[1] / "configs" / "monitor-eps.cfg"
 
 
 def mode(grid, k, amp, phase=0.0):
@@ -102,7 +104,7 @@ def test_mollified_rhs_build_count(monkeypatch):
     # monitor-eps grid and data: 13 matrix builds per call, only the
     # mollifier j_eps - 1 is sampled on the full (x, xi) grid, and lambda and
     # h are built once for the state and once for the mollified state
-    cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "monitor-eps.cfg")
+    cfg = parse_config(MONITOR_EPS)
     builds, sampled, built = [], [], []
     matrix, sample_grid = Quantizer.matrix, Symbol.sample_grid
 
@@ -130,6 +132,54 @@ def test_mollified_rhs_build_count(monkeypatch):
     assert len(builds) == 13, builds
     assert sampled == [f"j(eps={cfg.epsilon:g})-1"]
     assert sorted(built) == ["curvature_symbol"] * 2 + ["dn_symbol"] * 2, built
+
+
+def test_mollified_step_fft_count(fft_calls):
+    # one eps = 0.01 ETDRK4 step on monitor-eps data makes 740 numpy FFT
+    # calls (888 when each field transformed and differentiated on every
+    # read).  The first step starts from psi = 0, whose DN solve skips
+    # GMRES, so the count is taken on the second step, where all four
+    # stages solve.  The GMRES part, 120 rfft and 176 irfft, is unchanged.
+    cfg = parse_config(MONITOR_EPS)
+    first = step(cfg.initial_state(), cfg.dt, eps=0.01)
+    fft_calls.clear()
+    step(first, cfg.dt, eps=0.01)
+    assert fft_calls == {"fft": 216, "ifft": 228, "rfft": 120, "irfft": 176}, fft_calls
+    assert sum(fft_calls.values()) == 740
+
+
+def test_mollified_rhs_product_count(monkeypatch):
+    # 6 dealiased products per call: the state's B and V take two, and the
+    # mollified state's B, V and raw psi_t share one surface flux
+    # eta_x psi_x + G(eta)psi, so they take four
+    products = []
+    product = dno.dealiased_product
+
+    def counting(u, v):
+        products.append(u.grid)
+        return product(u, v)
+
+    for module in (dno, evolution):
+        monkeypatch.setattr(module, "dealiased_product", counting)
+    cfg = parse_config(MONITOR_EPS)
+    mollified_rhs(cfg.initial_state(), cfg.epsilon)
+    assert len(products) == 6
+
+
+def test_eta_x_is_computed_once_per_right_hand_side(monkeypatch):
+    # the strip operator, B and V, the symbols lambda, h, p, q and gamma
+    # share one eta_x (five transforms of eta when each computed its own)
+    cfg = parse_config(MONITOR_EPS)
+    st = cfg.initial_state()
+    of_eta = []
+
+    def counting(samples, grid, order=1, axis=-1):
+        of_eta.append(samples is st.eta.values and order == 1)
+        return spectral_derivative(samples, grid, order, axis)
+
+    monkeypatch.setattr("capwave.field.spectral_derivative", counting)
+    mollified_rhs(st, cfg.epsilon)
+    assert of_eta.count(True) == 1
 
 
 def test_t_b_is_built_once_per_state():
@@ -198,7 +248,7 @@ def test_stored_states_keep_no_right_hand_side_caches():
     st = WaveState(0.0, mode(GRID, 1, 0.01), mode(GRID, 2, 0.01, 0.4), GEO, nz=24)
     traj = run(st, 1e-3, 4, eps=0.01, state_stride=1)
     assert len(traj.states) == 5
-    cached = ("t_b", "t_v", "g_psi", "lam", "symmetrizer_symbols")
+    cached = ("t_b", "t_v", "g_psi", "flux", "lam", "symmetrizer_symbols")
     for stored in traj.states:
         assert not set(cached) & set(vars(stored)), sorted(vars(stored))
 

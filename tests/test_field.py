@@ -10,6 +10,7 @@ from capwave.field import (
     dealiased_product,
     derivative_symbol,
     multiplier,
+    series_coefficients,
     sobolev_norm,
     spectral_derivative,
     weighted_norm,
@@ -288,3 +289,51 @@ def test_json_round_trip(grid):
     spec = np.array([complex(re, im) for re, im in record["spectrum"]])
     v = Field.from_spectrum(Grid(record["grid"]["n"], record["grid"]["length"]), spec)
     assert np.max(np.abs(v.values - u.values)) < 1e-13
+
+
+def eager_values(grid, coeffs):
+    """The values Field.from_spectrum computed eagerly before they were deferred."""
+    vals = np.fft.ifft(coeffs / grid._phase * grid.n)
+    if np.max(np.abs(vals.imag)) <= 1e-13 * max(np.max(np.abs(vals.real)), 1e-300):
+        vals = vals.real
+    return vals
+
+
+def threshold_spectra(grid):
+    """Spectra whose values carry an imaginary part of 0.99e-13 and of 1.01e-13
+    times their real part: the first is real, the second stays complex."""
+    return [series_coefficients(np.cos(grid.x) + 1j * r * np.sin(2 * grid.x), grid)
+            for r in (0.99e-13, 1.01e-13)]
+
+
+def test_from_spectrum_values_are_deferred_and_bit_identical(grid, fft_calls):
+    real = random_band_limited(grid, np.random.default_rng(7)).spectrum
+    cplx = real + 1j * random_band_limited(grid, np.random.default_rng(8)).spectrum
+    below, above = threshold_spectra(grid)
+    expected_real = {"real": True, "complex": False, "below": True, "above": False}
+    for name, coeffs in zip(expected_real, (real, cplx, below, above)):
+        ref = eager_values(grid, coeffs)
+        fft_calls.clear()
+        u = Field.from_spectrum(grid, coeffs)
+        assert fft_calls == {}, name  # no inverse transform until values are read
+        assert np.array_equal(u.values, ref) and u.values.dtype == ref.dtype, name
+        assert u.is_real == expected_real[name], name
+        assert u.values is u.values and fft_calls == {"ifft": 1}, name
+
+
+def test_a_field_read_through_its_spectrum_runs_no_inverse_fft(grid, fft_calls):
+    c = random_band_limited(grid, np.random.default_rng(9)).spectrum
+    fft_calls.clear()
+    u = multiplier(multiplier(Field.from_spectrum(grid, c), np.abs), np.abs)
+    sobolev_norm(u, 1.0)
+    band_tail_fraction(u)
+    assert fft_calls == {}
+
+
+def test_first_derivative_is_computed_once_per_field(grid, fft_calls):
+    u = Field(grid, np.sin(3 * grid.x))
+    fft_calls.clear()
+    du = x_derivative(u)
+    assert x_derivative(u) is du and x_derivative(u, 1) is du
+    assert fft_calls == {"fft": 1, "ifft": 1}
+    assert np.array_equal(du.values, spectral_derivative(u.values, grid, 1))

@@ -6,9 +6,13 @@ of every symbol constructor produced before the trace representation
 xi = +-1 and the total symbol at xi in {2, -2, 5, -6.5}; for the mollifier,
 its parts at xi in {1, -1, 2, -2, 5, -6.5}.  Principal parts must agree
 within 1e-13 relative, sub-principal parts and totals within 1e-12 of the
-principal part's size.  A flow derivative is a centered difference with
-step TAU, which carries the differenced symbol's rounding times 1/(2 TAU):
-its parts are held to 1e-12 of that symbol's principal size over 2 TAU.
+principal part's size.  A flow derivative (``dt_p``, ``dt_q``) is a
+centered difference with step TAU, which carries the differenced symbol's
+rounding times 1/(2 TAU): its sub-principal part and its total are held to
+1e-12 of that symbol's principal size over 2 TAU.  Its principal part is
+held like every other, to 1e-13 of its own size, which is tighter than the
+difference's rounding, so that check also freezes the rounding of the
+spectral x-derivative behind the slope eta_x.
 Three entries (``h_lam``, ``compose_p_dn_principal``, ``adjoint_p_principal``)
 froze a principal-only composition or adjoint; they are compared with the
 principal part of the full one.  Where the oracle froze no sub-principal
