@@ -23,13 +23,27 @@ The entries:
 - ``quantizer_p`` and ``quantizer_mollifier``: ``Quantizer.matrix`` of the
   symmetrizer's p and of Mollifier(gamma, 0.01, -1) on the state after the
   first eps = 0.01 step;
+- ``dn_cosine_g`` and ``dn_cosine_iterations``: G(eta)psi and the GMRES
+  iteration count for eta = a cos(x + 0.3) on the 5 rungs and both
+  geometries (depth 1, n = 128, nz = 48, psi = sin x + 0.3 cos 3x), shape
+  (geometry, rung, x) and (geometry, rung);
+- ``flat_modes_<config>`` and ``etdrk4_<config>``: the flat-mode table
+  (alpha, beta, omega, linear_mask as 0/1) and the ETDRK4 coefficients
+  (E, E2, Q, f1, f2, f3) on the grid, geometry, dt and eps of the
+  ``monitor-eps`` and ``kato`` configs, shape (array, mode);
 - ``trajectory_<config>``: ``trajectory.csv`` of ``capwave simulate`` on
   each bundled config with evolution.T = 0.1.
+
+``verify_records.json`` holds the ``measured`` value of every ``capwave
+verify all`` check, which ``test_acceptance.py`` compares with the values
+its fixtures measure.  The script rewrites it too (``run_suite("all")``,
+about 80 s).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -38,12 +52,18 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 FINGERPRINT = Path(__file__).with_name("fingerprint.npz")
+VERIFY_RECORDS = Path(__file__).with_name("verify_records.json")
 
 MONITOR_EPS = (0.01, 0.0)
 LADDER_DRAWS = 4
 LADDER_RUNGS = (0.1, 0.3, 0.5, 0.7, 0.9)
 LADDER_N, LADDER_NZ, LADDER_SEED, LADDER_SIGMA = 128, 48, 0, 2.0
 CONFIGS = ("conservation", "kato", "linear-mode", "monitor-eps")
+COSINE_PHASE = 0.3
+GEOMETRIES = ("flat_bottom", "parallel_strip")
+LINEAR_CONFIGS = ("monitor-eps", "kato")
+MODE_ARRAYS = ("alpha", "beta", "omega", "linear_mask")
+ETDRK4_ARRAYS = ("E", "E2", "Q", "f1", "f2", "f3")
 T_FINAL = 0.1
 
 
@@ -93,6 +113,38 @@ def _dn_ladder_entries() -> dict:
     return {"dn_ladder_g": g, "dn_ladder_iterations": iterations}
 
 
+def _dn_cosine_entries() -> dict:
+    from capwave.dno import Geometry, solve_strip
+    from capwave.field import Field, Grid
+
+    grid = Grid(LADDER_N, 2 * np.pi)
+    psi = Field(grid, np.sin(grid.x) + 0.3 * np.cos(3 * grid.x))
+    g = np.empty((len(GEOMETRIES), len(LADDER_RUNGS), grid.n))
+    iterations = np.empty((len(GEOMETRIES), len(LADDER_RUNGS)), dtype=np.int64)
+    for i, kind in enumerate(GEOMETRIES):
+        geo = Geometry(kind, 1.0)
+        for r, a in enumerate(LADDER_RUNGS):
+            eta = Field(grid, a * np.cos(grid.x + COSINE_PHASE))
+            sol = solve_strip(eta, psi, geo, LADDER_NZ)
+            g[i, r] = sol.trace_dn().values
+            iterations[i, r] = sol.iterations
+    return {"dn_cosine_g": g, "dn_cosine_iterations": iterations}
+
+
+def _linear_entries() -> dict:
+    from capwave.cli import parse_config
+    from capwave.evolution import _etdrk4_coefficients
+
+    out = {}
+    for name in LINEAR_CONFIGS:
+        cfg = parse_config(ROOT / "configs" / f"{name}.cfg")
+        coeff = _etdrk4_coefficients(cfg.grid(), cfg.geometry, cfg.dt, cfg.epsilon)
+        out[f"flat_modes_{name}"] = np.array(
+            [getattr(coeff.modes, a) for a in MODE_ARRAYS], dtype=float)
+        out[f"etdrk4_{name}"] = np.array([getattr(coeff, a) for a in ETDRK4_ARRAYS])
+    return out
+
+
 def _trajectory_entries() -> dict:
     from capwave.cli import parse_config, run_simulate
 
@@ -109,7 +161,15 @@ def _trajectory_entries() -> dict:
 
 def compute() -> dict:
     """Every fingerprint entry, recomputed from the program."""
-    return {**_monitor_eps_entries(), **_dn_ladder_entries(), **_trajectory_entries()}
+    return {**_monitor_eps_entries(), **_dn_ladder_entries(), **_dn_cosine_entries(),
+            **_linear_entries(), **_trajectory_entries()}
+
+
+def verify_records() -> dict:
+    """Check name -> ``measured`` of every ``capwave verify all`` check."""
+    from capwave.verify import run_suite
+
+    return {c["name"]: c["measured"] for c in run_suite("all")["checks"]}
 
 
 def deviation(name: str, got: np.ndarray, ref: np.ndarray) -> float:
@@ -139,6 +199,14 @@ def main() -> int:
                     print(f"| {name} | {deviation(name, entries[name], old[name]):.3e} |")
     np.savez_compressed(FINGERPRINT, **entries)
     print(f"wrote {FINGERPRINT} ({len(entries)} entries)")
+    records = verify_records()
+    if VERIFY_RECORDS.exists():
+        old = json.loads(VERIFY_RECORDS.read_text())
+        for name in sorted(set(records) | set(old)):
+            if records.get(name) != old.get(name):
+                print(f"record {name}: {old.get(name)!r} -> {records.get(name)!r}")
+    VERIFY_RECORDS.write_text(json.dumps(records, indent=1) + "\n")
+    print(f"wrote {VERIFY_RECORDS} ({len(records)} records)")
     return 0
 
 
