@@ -205,7 +205,7 @@ def run_simulate(cfg: RunConfig) -> dict:
 def _smoothing_report(cfg: RunConfig, traj) -> dict:
     grid = traj.states[0].grid
     final_eta = traj.states[-1].eta
-    esc = build_escape(cfg.delta, 0.05, grid)
+    esc = build_escape(cfg.delta, grid)
     doi = bound_check(final_eta, esc)
     d_sym = esc.doi_bracket(final_eta)
     quant = shared_quantizer(grid)

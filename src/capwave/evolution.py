@@ -11,11 +11,11 @@ for the plain paradifferential mollifier.
 
 One integrator, ETDRK4 (Cox & Matthews 2002, with Kassam & Trefethen 2005
 contour averages over the full circle, as z = i omega dt is imaginary), solves
-the flat-interface linearization exactly.  That linearization is tabled once
-per grid and geometry and diagonalized per mode by the normal variable
-w+ = alpha eta^ - i beta psi^; w-(xi) = conj w+(-xi) for every real state, so
-the step advances w+ alone.  The step, :func:`diagonalize` and
-:func:`dispersion_fit` all read the same table.
+the flat-interface linearization exactly.  That linearization is
+diagonalized per mode by the normal variable w+ = alpha eta^ - i beta psi^;
+w-(xi) = conj w+(-xi) for every real state, so the step advances w+ alone.
+The step, :func:`diagonalize` and :func:`dispersion_fit` all read the one
+flat-mode table class.
 """
 
 from __future__ import annotations
@@ -299,7 +299,7 @@ def hamiltonian(state: WaveState) -> tuple[float, float]:
 
 
 class _FlatModes:
-    """The flat-interface linearization per grid mode, built once per (grid, geometry).
+    """The flat-interface linearization per grid mode of a grid and geometry.
 
     Mode xi rotates at omega = sqrt(|xi| tanh(depth |xi|) (g + kappa xi^2)).
     The state is w = w+ = alpha eta^ - i beta psi^, one value per mode, with
@@ -334,11 +334,6 @@ class _FlatModes:
         return (w + w_minus) / (2.0 * self.alpha), (w_minus - w) / (2j * self.beta)
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
-def _flat_modes(grid: Grid, geo: Geometry) -> _FlatModes:
-    return _FlatModes(grid, geo)
-
-
 def diagonalize(state: WaveState) -> Field:
     """Complex normal variable w+ / sqrt(2) of the flat linearization.
 
@@ -346,7 +341,7 @@ def diagonalize(state: WaveState) -> Field:
     in place of the infinite-depth |xi|; modes outside the linear mask
     (xi = 0 among them) are dropped.
     """
-    modes = _flat_modes(state.grid, state.geo)
+    modes = _FlatModes(state.grid, state.geo)
     wp = modes.to_w(state.eta.spectrum, state.psi.spectrum)
     return Field.from_spectrum(state.grid,
                                np.where(modes.linear_mask, wp / np.sqrt(2.0), 0.0))
@@ -364,7 +359,7 @@ def dispersion_fit(states: list, mode: int) -> dict | None:
         return None
     grid = states[0].grid
     idx = int(np.where(grid.k == mode)[0][0])
-    omega = float(_flat_modes(grid, states[0].geo).omega[idx])
+    omega = float(_FlatModes(grid, states[0].geo).omega[idx])
     phases = [diagonalize(st).spectrum[idx] for st in states]
     times = [st.t for st in states]
     slope = np.polyfit(times, np.unwrap(np.angle(np.array(phases))), 1)[0]
@@ -390,7 +385,7 @@ class _Etdrk4Coefficients:
     """
 
     def __init__(self, grid: Grid, geo: Geometry, dt: float, eps: float):
-        self.modes = modes = _flat_modes(grid, geo)
+        self.modes = modes = _FlatModes(grid, geo)
         # mollified flat linearization: rotation slowed by the symbol factor
         slow = 1.0 + (np.exp(-eps * np.abs(grid.xi) ** 1.5) - 1.0) * psi_cut(grid.xi)
         self.omega_eff = modes.omega * slow
@@ -594,16 +589,21 @@ def time_derivatives(state: WaveState) -> dict:
     return {"eta_t": eta_t, "psi_t": psi_t, "g_psi_t": g_psi_t, "b_t": b_t}
 
 
-def _symbol_time_derivative(eta: Field, eta_t: Field, tau: float = 1e-5):
-    """Centered differences of the symmetrizer's p and q along the flow direction.
+# step of the centered flow differences in _symbol_time_derivative
+_FLOW_STEP = 1e-5
+
+
+def _symbol_time_derivative(eta: Field, eta_t: Field):
+    """Centered differences of the symmetrizer's p and q along the flow
+    direction, with step _FLOW_STEP.
 
     One :func:`symmetrizer` call on each side serves both symbols.
     """
-    plus = symmetrizer(eta + eta_t * tau)[:2]
-    minus = symmetrizer(eta + eta_t * (-tau))[:2]
+    plus = symmetrizer(eta + eta_t * _FLOW_STEP)[:2]
+    minus = symmetrizer(eta + eta_t * (-_FLOW_STEP))[:2]
     return tuple(Symbol(eta.grid, sym_p.order,
-                        (sym_p.principal - sym_m.principal) / (2.0 * tau),
-                        (sym_p.subprincipal - sym_m.subprincipal) / (2.0 * tau),
+                        (sym_p.principal - sym_m.principal) / (2.0 * _FLOW_STEP),
+                        (sym_p.subprincipal - sym_m.subprincipal) / (2.0 * _FLOW_STEP),
                         name=f"dt[{sym_p.name}]")
                  for sym_p, sym_m in zip(plus, minus))
 

@@ -41,9 +41,8 @@ __all__ = [
 
 # maxsize of the package's lru caches (the derivative symbol, one per grid
 # and order; the DN strip table, one per nz; the shared quantizer, one per
-# grid; the flat-mode table, one per grid and geometry; the ETDRK4
-# coefficients): every key a simulate run or a single verify suite reuses
-# stays resident
+# grid; the ETDRK4 coefficients with their flat-mode table): every key a
+# simulate run or a single verify suite reuses stays resident
 CACHE_MAXSIZE = 16
 
 
@@ -245,13 +244,9 @@ def spectral_derivative(samples: np.ndarray, grid: Grid, order: int = 1,
     return out.real if np.isrealobj(samples) else out
 
 
-def x_derivative(u: Field, order: int = 1) -> Field:
-    """Spectral d^order/dx^order of a field (see :func:`spectral_derivative`).
-
-    The first derivative is computed once per field and stored on it.
-    """
-    if order != 1:
-        return Field(u.grid, spectral_derivative(u.values, u.grid, order))
+def x_derivative(u: Field) -> Field:
+    """Spectral d/dx of a field (see :func:`spectral_derivative`), computed
+    once per field and stored on it."""
     if u._derivative is None:
         u._derivative = Field(u.grid, spectral_derivative(u.values, u.grid, 1))
     return u._derivative
@@ -263,12 +258,16 @@ def sobolev_norm(u: Field, s: float) -> float:
     return float(np.sqrt(u.grid.length * np.sum(w * np.abs(u.spectrum) ** 2)))
 
 
-def weighted_norm(u: Field, s: float, delta: float) -> float:
-    """H^s norm of <x>^(-1/2-delta) u, with <x> on the fundamental domain."""
+def spatial_weight(grid: Grid, delta: float) -> np.ndarray:
+    """The weight <x>^(-1/2-delta) on the grid, with <x> on the fundamental domain."""
     if not 0 < delta < np.inf:  # NaN fails too
         raise ValueError(f"delta must be positive and finite, got {delta}")
-    w = (1.0 + u.grid.x**2) ** (-(0.5 + delta) / 2.0)
-    return sobolev_norm(Field(u.grid, w * u.values), s)
+    return (1.0 + grid.x**2) ** (-(0.5 + delta) / 2.0)
+
+
+def weighted_norm(u: Field, s: float, delta: float) -> float:
+    """H^s norm of <x>^(-1/2-delta) u (the weight of :func:`spatial_weight`)."""
+    return sobolev_norm(Field(u.grid, spatial_weight(u.grid, delta) * u.values), s)
 
 
 def l2_inner(u: Field, v: Field) -> complex:

@@ -11,8 +11,9 @@ for the commutator quadratic form.
 
 The Doi bound is evaluated once, for the escape symbol it is given, with no
 retry at another partition parameter: every term of the bracket is
-nonnegative and psi_0 + psi_+ + psi_- = 1, so K > 0 for every escape symbol
-the constructor accepts, and a K <= 0 is a defect that the report shows.
+nonnegative and psi_0 + psi_+ + psi_- = 1, so K > 0 for every partition
+parameter in (0, 1/2), and a K <= 0 is a defect that the report shows.  The
+parameter is the constant EPS_DOI.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import numpy as np
 from .cutoffs import smooth_step, smooth_step_derivative
 
 from .evolution import WaveState, symmetrized_residuals
-from .field import Field, Grid, l2_inner, sobolev_norm, weighted_norm, x_derivative
+from .field import Field, Grid, l2_inner, sobolev_norm, spatial_weight, weighted_norm, \
+    x_derivative
 from .paradiff import Quantizer
 from .symbols import Symbol
 
@@ -39,6 +41,8 @@ __all__ = [
 
 # the fewest trajectory records kato_integral integrates
 KATO_MIN_RECORDS = 4
+# the partition parameter of the escape function's sign cutoffs, in (0, 1/2)
+EPS_DOI = 0.05
 
 # 20-point Gauss-Legendre rule on [0, 1], for _f_primitive's unit panels
 _PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(20)
@@ -60,14 +64,11 @@ class EscapeSymbol:
     """Bounded symbol a(x, sgn xi) with a positive dispersive bracket."""
 
     delta: float
-    eps_doi: float
     grid: Grid
 
     def __post_init__(self):
         if not 0 < self.delta < np.inf:  # NaN fails too
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        if not 0 < self.eps_doi < 0.5:
-            raise ValueError("eps_doi must lie in (0, 1/2)")
         self._f_vals = _f_primitive(np.abs(self.grid.x), self.delta)
 
     # building blocks on the grid, for xi > 0 (odd continuation in sgn xi)
@@ -75,9 +76,8 @@ class EscapeSymbol:
         x = self.grid.x
         bracket_x = np.hypot(1.0, x)  # <x>
         y = x / bracket_x
-        eps = self.eps_doi
-        psi_p = _phi(y / eps)
-        psi_m = _phi(-y / eps)
+        psi_p = _phi(y / EPS_DOI)
+        psi_m = _phi(-y / EPS_DOI)
         psi_0 = 1.0 - psi_p - psi_m
         return {"x": x, "jx": bracket_x, "y": y, "psi0": psi_0,
                 "psip": psi_p, "psim": psi_m, "f": self._f_vals}
@@ -85,14 +85,14 @@ class EscapeSymbol:
     def values(self) -> np.ndarray:
         """Samples of a(x, xi) for xi > 0."""
         b = self.blocks()
-        return b["y"] * b["psi0"] + (2.0 * self.eps_doi + b["f"]) * (b["psip"] - b["psim"])
+        return b["y"] * b["psi0"] + (2.0 * EPS_DOI + b["f"]) * (b["psip"] - b["psim"])
 
     def x_derivative(self) -> np.ndarray:
         """Exact d/dx of the escape function for xi > 0 (the weight is not
         periodic, so no spectral differentiation here)."""
         b = self.blocks()
         x, jx, y = b["x"], b["jx"], b["y"]
-        eps = self.eps_doi
+        eps = EPS_DOI
         yprime = jx**-3.0
         # phi±'(y) = ±(1/eps) phi'(±y/eps) and phi0' = -(phi+' + phi-')
         phip_p = _phi_prime(y / eps) / eps
@@ -136,8 +136,8 @@ def _f_primitive(sigma: np.ndarray, delta: float) -> np.ndarray:
     return below[whole.astype(np.intp)] + rest * (partial @ _PANEL_WEIGHTS)
 
 
-def build_escape(delta: float, eps_doi: float, grid: Grid) -> EscapeSymbol:
-    return EscapeSymbol(delta, eps_doi, grid)
+def build_escape(delta: float, grid: Grid) -> EscapeSymbol:
+    return EscapeSymbol(delta, grid)
 
 
 def bound_check(eta: Field, esc: EscapeSymbol) -> dict:
@@ -146,17 +146,17 @@ def bound_check(eta: Field, esc: EscapeSymbol) -> dict:
     Returns K_measured = min over the grid of
     {c |xi|^(3/2), a} <x>^(1+delta) |xi|^(-1/2), which does not depend on
     xi: the bracket scales as |xi|^(1/2), even in sgn xi.  With it come the
-    term-by-term decomposition checks, evaluated once for ``esc``: the
-    report's ``eps_doi`` and ``delta`` are those of ``esc``, and ``argmin``
-    is the x where the minimum sits.
+    term-by-term decomposition checks of ``esc.doi_bracket(eta)``, evaluated
+    once for ``esc``: the report's ``delta`` is that of ``esc``, ``eps_doi``
+    is EPS_DOI, and ``argmin`` is the x where the minimum sits.
     """
     ex = x_derivative(eta).values.real
     c = (1.0 + ex**2) ** -0.75
     b = esc.blocks()
     jx, y = b["jx"], b["y"]
-    eps = esc.eps_doi
+    eps = EPS_DOI
     # the bracket (3/2) c |xi|^(1/2) d/dx a over |xi|^(1/2)
-    direct = 1.5 * c * esc.x_derivative()
+    direct = esc.doi_bracket(eta).principal[:, 0]
     ratio = direct * jx ** (1.0 + esc.delta)
 
     # closed-form decomposition (xi-independent after the |xi|^(1/2) scaling)
@@ -205,7 +205,7 @@ def garding_fit(d_symbol: Symbol, delta: float, samples, quantizer: Quantizer) -
     """
     xi = np.array([1.0, 2.0, 4.0, -1.0, -2.0])
     vals = d_symbol.total_at(xi).real
-    bound = (np.hypot(1.0, quantizer.grid.x) ** (-1.0 - 2.0 * delta))[:, None] \
+    bound = (spatial_weight(quantizer.grid, delta) ** 2)[:, None] \
         * (np.abs(xi) ** 0.5)[None, :]
     if np.min(vals / bound) <= 0:
         raise ValueError("d does not satisfy the weighted lower bound")

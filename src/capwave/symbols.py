@@ -293,7 +293,7 @@ def factorization(eta: Field, geo: Geometry) -> tuple[Symbol, Symbol]:
     grid = eta.grid
     h = geo.depth
     e1 = _slope(eta)
-    e2 = x_derivative(eta, 2).values.real[:, None]
+    e2 = spectral_derivative(eta.values, grid, 2).real[:, None]
     al = (1.0 + e1**2) / h**2
     be = -2.0 * e1 / h
     ga = e2 / h

@@ -21,11 +21,11 @@ from .dno import Geometry, cancellation_residual, compute_B_V, dirichlet_neumann
     shape_derivative
 from .evolution import WaveState, dispersion_fit, mollified_rhs, monitor, run, \
     step, zakharov_rhs
-from .field import Field, Grid, l2_inner, sobolev_norm, spectral_derivative, \
-    x_derivative
+from .field import Field, Grid, l2_inner, sobolev_norm, spatial_weight, \
+    spectral_derivative, x_derivative
 from .paradiff import Quantizer, remainder_order, shell_field
-from .smoothing import _phi, af_identity_check, bound_check, build_escape, garding_fit, \
-    kato_integral, unweighted_integral
+from .smoothing import EPS_DOI, _phi, af_identity_check, bound_check, build_escape, \
+    garding_fit, kato_integral, unweighted_integral
 from .symbols import Mollifier, Symbol, adjoint_symbol, compose, curvature_symbol, \
     dn_symbol, elliptic_weight, factorization, parametrix, poisson_bracket, seminorm, \
     symmetrizer
@@ -361,15 +361,15 @@ def _suite_smoothing(seed: int, timings: dict) -> list:
     grid = Grid(128, 16 * np.pi)
     geo = Geometry("flat_bottom", 1.0)
     delta = 0.1
-    esc = build_escape(delta, 0.05, grid)
+    esc = build_escape(delta, grid)
 
     b = esc.blocks()
     checks.append(_check("smoothing.partition",
                          np.max(np.abs(b["psi0"] + b["psip"] + b["psim"] - 1.0)),
                          1e-12))
     y = b["y"]
-    odd = np.max(np.abs((_phi(y / esc.eps_doi) - _phi(-y / esc.eps_doi))
-                        - np.sign(y) * _phi(np.abs(y) / esc.eps_doi)))
+    odd = np.max(np.abs((_phi(y / EPS_DOI) - _phi(-y / EPS_DOI))
+                        - np.sign(y) * _phi(np.abs(y) / EPS_DOI)))
     checks.append(_check("smoothing.sign_structure", odd, 1e-12))
 
     # Doi bound over the eta corpus, one value per grid point x each
@@ -388,7 +388,7 @@ def _suite_smoothing(seed: int, timings: dict) -> list:
     # Garding-type fit
     quant = Quantizer(grid)
 
-    weight = np.hypot(1.0, grid.x) ** (-1.0 - 2 * delta)
+    weight = spatial_weight(grid, delta) ** 2
     d_sym = Symbol(grid, 0.5, weight[:, None], name="d")
     samples = [gaussian_packet(grid, 2.0, seed + 30 + i, 1.0) for i in range(6)]
     rep = garding_fit(d_sym, delta, samples, quant)

@@ -69,7 +69,7 @@ def test_raw_run_builds_no_quantizer(monkeypatch):
 
 def test_caches_are_bounded_lrus():
     caches = (evolution.shared_quantizer, dno._strip_table,
-              evolution._flat_modes, evolution._etdrk4_coefficients, derivative_symbol)
+              evolution._etdrk4_coefficients, derivative_symbol)
     assert all(c.cache_info().maxsize == CACHE_MAXSIZE for c in caches)
     grids = [Grid(8 + 2 * i, 2 * np.pi) for i in range(CACHE_MAXSIZE + 1)]
     for i, grid in enumerate(grids):
@@ -203,7 +203,7 @@ def test_t_v_is_built_once_per_state(monkeypatch):
         return matrix(self, symbol)
 
     monkeypatch.setattr(Quantizer, "matrix", counting_matrix)
-    af_identity_check(states, build_escape(0.1, 0.05, GRID))
+    af_identity_check(states, build_escape(0.1, GRID))
     assert built and "V" not in built, built
 
 
@@ -224,7 +224,7 @@ def test_symmetrized_residuals_build_each_operator_once(monkeypatch):
     symmetrized_residuals(states[0])
     assert len(built) == 8, built
     built.clear()
-    af_identity_check([st.replace() for st in states], build_escape(0.1, 0.05, GRID))
+    af_identity_check([st.replace() for st in states], build_escape(0.1, GRID))
     assert len(built) == 25, built
 
 
@@ -485,7 +485,7 @@ def test_etdrk4_coefficients_match_closed_forms(dt, eps):
                          ids=["default", "no-stiffness"])
 def test_normal_variable_round_trip(geo):
     # random real fields carry xi = 0 and Nyquist; at g = kappa = 0 no mode is linear
-    modes = evolution._flat_modes(GRID, geo)
+    modes = evolution._FlatModes(GRID, geo)
     assert modes.linear_mask.any() == (geo.g > 0)
     rng = np.random.default_rng(7)
     eta, psi = (Field(GRID, rng.standard_normal(GRID.n)) for _ in range(2))

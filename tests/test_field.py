@@ -240,15 +240,14 @@ def test_spectral_derivative_nyquist_mode(grid, order):
             < 1e-12 * (grid.n // 2) ** order
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
-def test_x_derivative_is_the_kernel_on_fields(grid, order):
-    rng = np.random.default_rng(order)
+def test_x_derivative_is_the_kernel_on_fields(grid):
+    rng = np.random.default_rng(1)
     real = random_band_limited(grid, rng)
     cplx = Field(grid, real.values + 1j * random_band_limited(grid, rng).values)
     for u in (real, cplx):
-        du = x_derivative(u, order)
+        du = x_derivative(u)
         col = spectral_derivative(np.stack([u.values, u.values], axis=1), grid,
-                                  order, axis=0)[:, 1]
+                                  1, axis=0)[:, 1]
         assert du.is_real == u.is_real
         assert np.max(np.abs(du.values - col)) <= 1e-15 * max(np.max(np.abs(col)), 1.0)
 
@@ -334,6 +333,6 @@ def test_first_derivative_is_computed_once_per_field(grid, fft_calls):
     u = Field(grid, np.sin(3 * grid.x))
     fft_calls.clear()
     du = x_derivative(u)
-    assert x_derivative(u) is du and x_derivative(u, 1) is du
+    assert x_derivative(u) is du
     assert fft_calls == {"fft": 1, "ifft": 1}
     assert np.array_equal(du.values, spectral_derivative(u.values, grid, 1))

@@ -86,8 +86,8 @@ def trace_constructors(eta):
     return [lam, h, p, q, gam, parametrix(eta, p), a_s, A_s,
             elliptic_weight(eta, 2.6), compose(p, lam), compose(q, h),
             adjoint_symbol(gam), Symbol.from_field(eta),
-            Symbol.from_multiplier(grid, 1.5), build_escape(0.1, 0.05, grid).symbol(),
-            build_escape(0.1, 0.05, grid).doi_bracket(eta)]
+            Symbol.from_multiplier(grid, 1.5), build_escape(0.1, grid).symbol(),
+            build_escape(0.1, grid).doi_bracket(eta)]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -12,6 +12,7 @@ from capwave.evolution import WaveState, run, symmetrized_residuals
 from capwave.field import Field, Grid, sobolev_norm
 from capwave.paradiff import Quantizer
 from capwave.smoothing import (
+    EPS_DOI,
     EscapeSymbol,
     _f_primitive,
     _phi,
@@ -28,7 +29,7 @@ from capwave.verify import run_suite
 GRID = Grid(128, 16 * np.pi)
 GEO = Geometry("flat_bottom", 1.0)
 DELTA = 0.1
-ESC = build_escape(DELTA, 0.05, GRID)
+ESC = build_escape(DELTA, GRID)
 
 
 def quad_primitive(sigma, delta):
@@ -78,15 +79,13 @@ def test_f_primitive_matches_the_hypergeometric_closed_form(delta):
 
 def test_escape_validation():
     with pytest.raises(ValueError):
-        build_escape(0.0, 0.05, GRID)
-    with pytest.raises(ValueError):
-        build_escape(0.1, 0.9, GRID)
+        build_escape(0.0, GRID)
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.1, np.nan, np.inf])
 def test_escape_rejects_a_bad_delta(delta):
     with pytest.raises(ValueError, match="delta must be positive and finite"):
-        build_escape(delta, 0.05, GRID)
+        build_escape(delta, GRID)
 
 
 def test_escape_at_origin():
@@ -101,24 +100,24 @@ def test_escape_far_field_monotone_to_limit():
     # f-quadrature gives in closed approximation; on the truncated domain the
     # value is below the limit but already far above the transition scale
     vals = ESC.values()
-    limit = 2.0 * ESC.eps_doi + f_limit(DELTA)
+    limit = 2.0 * EPS_DOI + f_limit(DELTA)
     right = vals[GRID.x > 1.0]
     assert np.all(np.diff(right) >= -1e-12)
     assert right[-1] < limit
-    assert right[-1] > 2.0 * ESC.eps_doi
+    assert right[-1] > 2.0 * EPS_DOI
     # quadrature oracle for the limit: trapezoid integral of <y>^(-1-delta)
     # plus the analytic power-law tail (slowly decaying for small delta)
     y0 = 4000.0
     ys = np.linspace(0.0, y0, 400001)
     riemann = np.trapezoid(np.hypot(1.0, ys) ** (-1.0 - DELTA), ys)
     tail = y0**-DELTA / DELTA
-    assert abs(limit - (2.0 * ESC.eps_doi + riemann + tail)) < 1e-3
+    assert abs(limit - (2.0 * EPS_DOI + riemann + tail)) < 1e-3
 
 
 def test_escape_partition_and_sign_structure():
     rng = np.random.default_rng(0)
     xv = rng.uniform(-20, 20, 20)
-    eps = ESC.eps_doi
+    eps = EPS_DOI
     jx = np.hypot(1.0, xv)
     y = xv / jx
     pp, pm = _phi(y / eps), _phi(-y / eps)
@@ -137,14 +136,14 @@ def test_escape_odd_in_sign():
 
 
 def test_escape_values_match_reference():
-    ref = reference_escape_values(GRID.x, ESC.eps_doi, DELTA)
+    ref = reference_escape_values(GRID.x, EPS_DOI, DELTA)
     assert np.max(np.abs(ESC.values() - ref)) < 1e-12
 
 
 def test_escape_x_derivative_fd_oracle():
     h = 1e-6
-    fd = (reference_escape_values(GRID.x + h, ESC.eps_doi, DELTA)
-          - reference_escape_values(GRID.x - h, ESC.eps_doi, DELTA)) / (2 * h)
+    fd = (reference_escape_values(GRID.x + h, EPS_DOI, DELTA)
+          - reference_escape_values(GRID.x - h, EPS_DOI, DELTA)) / (2 * h)
     assert np.max(np.abs(ESC.x_derivative() - fd)) < 1e-8
 
 
@@ -164,7 +163,7 @@ def test_bound_check_flat_surface():
 
 def test_bound_check_reports_a_planted_negative_bracket(monkeypatch):
     # one negated entry of a_x makes the bracket negative there: the bound is
-    # evaluated once, at the escape symbol's own eps_doi, and reports K <= 0
+    # evaluated once, at EPS_DOI, and reports K <= 0
     x_derivative = EscapeSymbol.x_derivative
     calls = []
 
@@ -180,6 +179,21 @@ def test_bound_check_reports_a_planted_negative_bracket(monkeypatch):
     assert rep["eps_doi"] == 0.05
     assert rep["K_measured"] <= 0
     assert "smoothing.doi_K_min" in run_suite("smoothing")["failures"]
+
+
+def test_bound_check_decomposes_the_bracket_that_doi_bracket_builds(monkeypatch):
+    # the decomposition is held against esc.doi_bracket, the symbol the
+    # Garding fit quantizes: a bracket planted 1e-6 too large shows in it
+    eta = Field(GRID, 0.05 * np.cos(2 * np.pi * GRID.x / GRID.length))
+    assert bound_check(eta, ESC)["sum_vs_direct"] <= 1e-12
+    doi_bracket = EscapeSymbol.doi_bracket
+
+    def planted(self, eta):
+        sym = doi_bracket(self, eta)
+        return Symbol(sym.grid, sym.order, sym.principal * (1.0 + 1e-6), name=sym.name)
+
+    monkeypatch.setattr(EscapeSymbol, "doi_bracket", planted)
+    assert bound_check(eta, ESC)["sum_vs_direct"] > 1e-12
 
 
 def test_bound_check_on_eta_corpus():

@@ -7,12 +7,12 @@ xi = +-1 and the total symbol at xi in {2, -2, 5, -6.5}; for the mollifier,
 its parts at xi in {1, -1, 2, -2, 5, -6.5}.  Principal parts must agree
 within 1e-13 relative, sub-principal parts and totals within 1e-12 of the
 principal part's size.  A flow derivative (``dt_p``, ``dt_q``) is a
-centered difference with step TAU, which carries the differenced symbol's
-rounding times 1/(2 TAU): its sub-principal part and its total are held to
-1e-12 of that symbol's principal size over 2 TAU.  Its principal part is
-held like every other, to 1e-13 of its own size, which is tighter than the
-difference's rounding, so that check also freezes the rounding of the
-spectral x-derivative behind the slope eta_x.
+centered difference with step tau = ``evolution._FLOW_STEP``, which carries
+the differenced symbol's rounding times 1/(2 tau): its sub-principal part and
+its total are held to 1e-12 of that symbol's principal size over 2 tau.  Its
+principal part is held like every other, to 1e-13 of its own size, which is
+tighter than the difference's rounding, so that check also freezes the
+rounding of the spectral x-derivative behind the slope eta_x.
 Three entries (``h_lam``, ``compose_p_dn_principal``, ``adjoint_p_principal``)
 froze a principal-only composition or adjoint; they are compared with the
 principal part of the full one.  Where the oracle froze no sub-principal
@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from capwave.dno import Geometry
-from capwave.evolution import _symbol_time_derivative
+from capwave.evolution import _FLOW_STEP, _symbol_time_derivative
 from capwave.field import Field, Grid
 from capwave.smoothing import build_escape
 from capwave.symbols import (
@@ -44,7 +44,6 @@ from capwave.symbols import (
 
 ORACLE = np.load(Path(__file__).with_name("symbol_oracle.npz"))
 TAGS = ("a", "b")
-TAU = 1e-5  # the flow-derivative step of _symbol_time_derivative
 DIFFERENCED = {"dt_p": "p", "dt_q": "q"}
 
 
@@ -65,9 +64,9 @@ def constructors(eta, eta_t):
     p, q, gam = symmetrizer(eta)
     a_s, A_s = factorization(eta, Geometry("parallel_strip", 1.0))
     bw = elliptic_weight(eta, 2.6)
-    esc = build_escape(0.1, 0.05, grid)
+    esc = build_escape(0.1, grid)
     hl = principal_only(compose(h, lam))
-    dt_p, dt_q = _symbol_time_derivative(eta, eta_t, TAU)
+    dt_p, dt_q = _symbol_time_derivative(eta, eta_t)
     return {
         "dn": lam, "curvature": h, "p": p, "q": q, "gamma": gam,
         "parametrix": parametrix(eta, p), "factor_a": a_s, "factor_A": A_s,
@@ -105,7 +104,7 @@ def test_constructors_match_frozen_oracle(tag):
         ref = ORACLE[key + "__principal"]
         assert rel(sym.principal, ref, np.max(np.abs(ref))) <= 1e-13, name
         if name in DIFFERENCED:
-            scale = np.max(np.abs(syms[DIFFERENCED[name]].principal)) / (2.0 * TAU)
+            scale = np.max(np.abs(syms[DIFFERENCED[name]].principal)) / (2.0 * _FLOW_STEP)
             total_scale = scale * np.max(np.abs(xi)) ** sym.order
         else:
             scale = np.max(np.abs(ref))

@@ -340,7 +340,7 @@ def test_every_constructor_carries_both_parts():
     lam, h = dn_symbol(ETA), curvature_symbol(ETA)
     p, q, gam = symmetrizer(ETA)
     a_s, A_s = factorization(ETA, Geometry("parallel_strip", 1.0))
-    esc = build_escape(0.1, 0.05, GRID)
+    esc = build_escape(0.1, GRID)
     syms = (lam, h, p, q, gam, parametrix(ETA, p), a_s, A_s, elliptic_weight(ETA, 2.6),
             Symbol.from_field(ETA), Symbol.from_multiplier(GRID, 1.5), esc.symbol(),
             esc.doi_bracket(ETA), poisson_bracket(h, lam), compose(p, lam),
