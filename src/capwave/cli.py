@@ -207,11 +207,10 @@ def _smoothing_report(cfg: RunConfig, traj) -> dict:
     final_eta = traj.states[-1].eta
     esc = build_escape(cfg.delta, grid)
     doi = bound_check(final_eta, esc)
-    d_sym = esc.doi_bracket(final_eta)
     quant = shared_quantizer(grid)
     samples = [gaussian_packet(grid, 2.0, cfg.seed + 60 + i, 1.0) for i in range(4)]
     try:
-        fit = garding_fit(d_sym, cfg.delta, samples, quant)
+        fit = garding_fit(doi["bracket"], cfg.delta, samples, quant)
         garding = {"a": fit["a"], "A": fit["A"]}
     except ValueError as exc:
         garding = {"error": str(exc)}

@@ -146,9 +146,9 @@ def bound_check(eta: Field, esc: EscapeSymbol) -> dict:
     Returns K_measured = min over the grid of
     {c |xi|^(3/2), a} <x>^(1+delta) |xi|^(-1/2), which does not depend on
     xi: the bracket scales as |xi|^(1/2), even in sgn xi.  With it come the
-    term-by-term decomposition checks of ``esc.doi_bracket(eta)``, evaluated
-    once for ``esc``: the report's ``delta`` is that of ``esc``, ``eps_doi``
-    is EPS_DOI, and ``argmin`` is the x where the minimum sits.
+    term-by-term decomposition checks of ``bracket`` = ``esc.doi_bracket(eta)``,
+    evaluated once for ``esc``: the report's ``delta`` is that of ``esc``,
+    ``eps_doi`` is EPS_DOI, and ``argmin`` is the x where the minimum sits.
     """
     ex = x_derivative(eta).values.real
     c = (1.0 + ex**2) ** -0.75
@@ -156,7 +156,8 @@ def bound_check(eta: Field, esc: EscapeSymbol) -> dict:
     jx, y = b["jx"], b["y"]
     eps = EPS_DOI
     # the bracket (3/2) c |xi|^(1/2) d/dx a over |xi|^(1/2)
-    direct = esc.doi_bracket(eta).principal[:, 0]
+    bracket = esc.doi_bracket(eta)
+    direct = bracket.principal[:, 0]
     ratio = direct * jx ** (1.0 + esc.delta)
 
     # closed-form decomposition (xi-independent after the |xi|^(1/2) scaling)
@@ -174,6 +175,7 @@ def bound_check(eta: Field, esc: EscapeSymbol) -> dict:
         "sum_vs_direct": float(np.max(np.abs(i1 + i2 + i3 + i4 + i5 - direct))),
         "i3_plus_i5_min": float(np.min(i3 + i5)),
         "i1": i1, "i2": i2, "i4": i4,
+        "bracket": bracket,
         "eps_doi": eps,
         "delta": esc.delta,
     }
