@@ -14,7 +14,7 @@ cli        batch runner and report emission
 """
 
 from .dno import Geometry, dirichlet_neumann, solve_strip
-from .field import Field, Grid, multiplier, sobolev_norm, weighted_norm
+from .field import Field, Grid, sobolev_norm, weighted_norm
 from .evolution import WaveState, run, step, zakharov_rhs
 
 __version__ = "0.1.0"
@@ -26,7 +26,6 @@ __all__ = [
     "WaveState",
     "dirichlet_neumann",
     "solve_strip",
-    "multiplier",
     "sobolev_norm",
     "weighted_norm",
     "zakharov_rhs",

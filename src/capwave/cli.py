@@ -9,6 +9,7 @@ starts a comment.  Subcommands: ``simulate <config>``, ``verify <suite>``,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -162,7 +163,7 @@ def parse_config(path) -> RunConfig:
 
 
 def run_simulate(cfg: RunConfig) -> dict:
-    """Integrate per config and write trajectory, snapshots, and reports."""
+    """Integrate per config and write trajectory.csv, snapshots and summary.json."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     state = cfg.initial_state()
@@ -197,8 +198,6 @@ def run_simulate(cfg: RunConfig) -> dict:
     summary["smoothing"] = _smoothing_report(cfg, traj)
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
-    with open(out / "smoothing_report.json", "w") as fh:
-        json.dump(summary["smoothing"], fh, indent=1, sort_keys=True)
     return summary
 
 
@@ -214,14 +213,10 @@ def _smoothing_report(cfg: RunConfig, traj) -> dict:
         garding = {"a": fit["a"], "A": fit["A"]}
     except ValueError as exc:
         garding = {"error": str(exc)}
-    kato = kato_integral(traj)
     return {
-        "delta": cfg.delta,
-        "eps_doi": doi["eps_doi"],
         "K_measured": doi["K_measured"],
-        "kato_integral": kato,
-        "resolution_sweep": [{"n": cfg.n, "weighted": kato,
-                              "unweighted": unweighted_integral(traj)}],
+        "kato_integral": kato_integral(traj),
+        "unweighted_integral": unweighted_integral(traj),
         "garding": garding,
     }
 
@@ -259,16 +254,16 @@ def run_report(directory: str) -> int:
     if marker.exists():
         print(f"run aborted: {marker.read_text().strip()}")
         code = EXIT_RUNTIME
-    csv = path / "trajectory.csv"
-    if csv.exists():
-        rows = csv.read_text().strip().split("\n")
-        print(f"trajectory: {len(rows) - 1} samples")
-        if len(rows) > 1:
-            first = rows[1].split(",")
-            last = rows[-1].split(",")
-            print(f"  t = {first[0]} .. {last[0]}")
-            print(f"  monitor M: {first[3]} -> {last[3]}")
-            print(f"  hamiltonian: {first[4]} -> {last[4]}")
+    trajectory = path / "trajectory.csv"
+    if trajectory.exists():
+        with open(trajectory, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        print(f"trajectory: {len(rows)} samples")
+        if rows:
+            first, last = rows[0], rows[-1]
+            print(f"  t = {first['t']} .. {last['t']}")
+            print(f"  monitor M: {first['monitor']} -> {last['monitor']}")
+            print(f"  hamiltonian: {first['hamiltonian']} -> {last['hamiltonian']}")
     for vf in sorted(path.glob("verify_*.json")):
         rep = json.loads(vf.read_text())
         status = "pass" if rep.get("passed") else "FAIL"

@@ -30,7 +30,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "Field",
-    "multiplier",
     "sobolev_norm",
     "weighted_norm",
     "x_derivative",
@@ -189,21 +188,6 @@ class Field:
             "grid": {"n": self.grid.n, "length": self.grid.length},
             "spectrum": [[c.real, c.imag] for c in spec],
         }
-
-
-def multiplier(u: Field, m) -> Field:
-    """Apply the Fourier multiplier m(xi) to u.
-
-    ``m`` is a callable evaluated on the grid frequencies (the value at
-    xi = 0 must be supplied by the callable itself).  Non-finite multiplier
-    values are rejected.
-    """
-    mv = np.asarray(m(u.grid.xi), dtype=complex)
-    if mv.shape != (u.grid.n,):
-        raise ValueError("multiplier must return one value per grid frequency")
-    if not np.all(np.isfinite(mv)):
-        raise ValueError("multiplier is not finite at some grid frequency")
-    return Field.from_spectrum(u.grid, mv * u.spectrum)
 
 
 def series_coefficients(samples: np.ndarray, grid: Grid, axis: int = -1) -> np.ndarray:

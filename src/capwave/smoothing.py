@@ -147,8 +147,8 @@ def bound_check(eta: Field, esc: EscapeSymbol) -> dict:
     {c |xi|^(3/2), a} <x>^(1+delta) |xi|^(-1/2), which does not depend on
     xi: the bracket scales as |xi|^(1/2), even in sgn xi.  With it come the
     term-by-term decomposition checks of ``bracket`` = ``esc.doi_bracket(eta)``,
-    evaluated once for ``esc``: the report's ``delta`` is that of ``esc``,
-    ``eps_doi`` is EPS_DOI, and ``argmin`` is the x where the minimum sits.
+    evaluated once for ``esc`` at EPS_DOI; ``argmin`` is the x where the
+    minimum sits.
     """
     ex = x_derivative(eta).values.real
     c = (1.0 + ex**2) ** -0.75
@@ -176,8 +176,6 @@ def bound_check(eta: Field, esc: EscapeSymbol) -> dict:
         "i3_plus_i5_min": float(np.min(i3 + i5)),
         "i1": i1, "i2": i2, "i4": i4,
         "bracket": bracket,
-        "eps_doi": eps,
-        "delta": esc.delta,
     }
 
 

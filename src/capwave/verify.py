@@ -19,8 +19,7 @@ import numpy as np
 from .corpus import gaussian_packet, state_corpus
 from .dno import Geometry, cancellation_residual, compute_B_V, dirichlet_neumann, \
     shape_derivative
-from .evolution import WaveState, dispersion_fit, mollified_rhs, monitor, run, \
-    step, zakharov_rhs
+from .evolution import WaveState, dispersion_fit, mollified_rhs, monitor, run, zakharov_rhs
 from .field import Field, Grid, l2_inner, sobolev_norm, spatial_weight, \
     spectral_derivative, x_derivative
 from .paradiff import Quantizer, remainder_order, shell_field
@@ -438,13 +437,10 @@ def dispersion_battery() -> list:
         period = 2 * np.pi / omega
         dt = period / 200
         n_steps = int(round(3.0 * period / dt))
-        cur = WaveState(0.0, Field(grid, 1e-4 * np.cos(k * grid.x)),
-                        Field.zeros(grid), geo, nz=48)
-        states = []
-        for _ in range(n_steps):
-            cur = step(cur, dt)
-            states.append(cur)
-        rel = dispersion_fit(states, k)["rel_err"]
+        st = WaveState(0.0, Field(grid, 1e-4 * np.cos(k * grid.x)),
+                       Field.zeros(grid), geo, nz=48)
+        traj = run(st, dt, n_steps, sample_stride=n_steps, state_stride=1)
+        rel = dispersion_fit(traj.states[1:], k)["rel_err"]
         checks.append(_check(f"evolution.dispersion_k{k}", rel, 1e-4))
     return checks
 

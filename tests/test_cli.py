@@ -98,10 +98,12 @@ def test_simulate_artifacts_and_dispersion(tmp_path):
     summary = run_simulate(cfg)
     assert (out / "trajectory.csv").exists()
     assert (out / "summary.json").exists()
-    assert (out / "smoothing_report.json").exists()
+    assert not (out / "smoothing_report.json").exists()  # summary.json holds the report
     assert list(out.glob("snapshot_*.json"))
     assert summary["dispersion"]["rel_err"] < 1e-4
-    smoothing = json.loads((out / "smoothing_report.json").read_text())
+    smoothing = json.loads((out / "summary.json").read_text())["smoothing"]
+    assert sorted(smoothing) == ["K_measured", "garding", "kato_integral",
+                                 "unweighted_integral"]
     assert smoothing["K_measured"] > 0
     assert smoothing["kato_integral"] >= 0
 
@@ -119,7 +121,7 @@ def test_cosine_run_without_snapshots_writes_valid_json(tmp_path, capsys):
     run_simulate(parse_config(path))
     summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
     assert "dispersion" not in summary
-    assert summary["smoothing"]["resolution_sweep"][0]["unweighted"] > 0
+    assert summary["smoothing"]["unweighted_integral"] > 0
     assert main(["report", str(out)]) == EXIT_OK
     assert "nan" not in capsys.readouterr().out
 
@@ -188,6 +190,20 @@ def test_report_exit_codes(tmp_path, capsys):
          "timings": {"dno.flat_oracle_runtime_s": {"seconds": 9.0, "budget_s": 5.0}}}))
     assert main(["report", str(slow)]) == EXIT_OK
     capsys.readouterr()
+
+
+def test_report_reads_trajectory_columns_by_name(tmp_path, capsys):
+    out = tmp_path / "out"
+    run_simulate(parse_config(write_config(tmp_path, BASE_CONFIG, out_dir=out)))
+    csv_path = out / "trajectory.csv"
+    assert main(["report", str(out)]) == EXIT_OK
+    expected = capsys.readouterr().out
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+    order = [6, 4, 2, 0, 5, 3, 1]  # every column moves
+    csv_path.write_text("".join(",".join(row[i] for i in order) + "\n" for row in rows))
+    assert main(["report", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == expected
+    assert "  monitor M: " in expected and "  hamiltonian: " in expected
 
 
 def test_runconfig_validation_direct():

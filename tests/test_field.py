@@ -1,4 +1,4 @@
-"""Field module: transforms, norms, multipliers against direct DFT oracles."""
+"""Field module: transforms, norms, derivatives against direct DFT oracles."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from capwave.field import (
     band_tail_fraction,
     dealiased_product,
     derivative_symbol,
-    multiplier,
     series_coefficients,
     sobolev_norm,
     spectral_derivative,
@@ -82,50 +81,17 @@ def test_spectrum_matches_direct_dft(grid):
     assert np.max(np.abs(u.spectrum - ref)) < 1e-13
 
 
-def test_multiplier_identity(grid):
-    rng = np.random.default_rng(2)
-    u = random_band_limited(grid, rng)
-    v = multiplier(u, lambda xi: np.ones_like(xi))
-    assert np.max(np.abs(v.values - u.values)) < 1e-14
-
-
-def test_multiplier_single_mode_eigenfunction(grid):
-    # |xi| multiplier on cos(2 pi x / L) returns (2 pi / L) cos(2 pi x / L)
-    u = Field(grid, np.cos(2 * np.pi * grid.x / grid.length))
-    v = multiplier(u, np.abs)
-    expected = (2 * np.pi / grid.length) * np.cos(2 * np.pi * grid.x / grid.length)
-    assert np.max(np.abs(v.values - expected)) < 1e-13
-
-
 def test_multiplier_against_direct_summation(grid):
     # oracle: apply |xi|^(3/2) in a hand-rolled O(n^2) transform pair
     rng = np.random.default_rng(3)
     u = random_band_limited(grid, rng)
     mv = np.abs(grid.xi) ** 1.5
-    got = multiplier(u, lambda xi: np.abs(xi) ** 1.5)
+    got = Field.from_spectrum(grid, mv * u.spectrum)
     ref_coeffs = mv * direct_series_coefficients(grid, u.values)
     ref_vals = direct_synthesis(grid, ref_coeffs)
     scale = np.max(np.abs(ref_coeffs))
     assert np.max(np.abs(got.values - ref_vals)) < 1e-11
     assert np.max(np.abs(got.spectrum - ref_coeffs)) < 1e-12 * scale
-
-
-def test_multiplier_rejects_nonfinite(grid):
-    u = Field(grid, np.cos(grid.x))
-    with pytest.raises(ValueError), np.errstate(divide="ignore"):
-        multiplier(u, lambda xi: 1.0 / xi)  # infinite at xi = 0
-
-
-def test_multiplier_composition_exact_in_spectrum(grid):
-    rng = np.random.default_rng(4)
-    u = random_band_limited(grid, rng)
-    m1 = lambda xi: 1.0 + xi**2
-    m2 = lambda xi: np.exp(-0.01 * np.abs(xi))
-    once = multiplier(multiplier(u, m1), m2)
-    both = multiplier(u, lambda xi: m1(xi) * m2(xi))
-    # no transform round-trip in between: agreement to the last few ulps
-    scale = np.max(np.abs(both.spectrum))
-    assert np.max(np.abs(once.spectrum - both.spectrum)) <= 5e-16 * scale
 
 
 def test_sobolev_norm_zero(grid):
@@ -323,7 +289,7 @@ def test_from_spectrum_values_are_deferred_and_bit_identical(grid, fft_calls):
 def test_a_field_read_through_its_spectrum_runs_no_inverse_fft(grid, fft_calls):
     c = random_band_limited(grid, np.random.default_rng(9)).spectrum
     fft_calls.clear()
-    u = multiplier(multiplier(Field.from_spectrum(grid, c), np.abs), np.abs)
+    u = Field.from_spectrum(grid, grid.xi**2 * c)
     sobolev_norm(u, 1.0)
     band_tail_fraction(u)
     assert fft_calls == {}

@@ -3,10 +3,10 @@
 A function, method or class defined in ``src/capwave`` that the tests name,
 but that neither the package nor the benchmark harness names, is test
 scaffolding kept in the program: it belongs in the tests.  References are
-AST names, a bare name, an attribute or an imported name anywhere in a file
-(so a re-export such as the top-level ``capwave.multiplier`` counts), matched
-by name alone: a definition that shares its name with anything the program
-reads counts as reached.
+AST names, a bare name or an attribute anywhere in a file, matched by name
+alone: a definition that shares its name with anything the program reads
+counts as reached.  An import is not a read, so a name that ``__init__.py``
+only re-exports is not reached.
 """
 
 import ast
@@ -36,15 +36,13 @@ def definitions(source: str) -> set:
 
 
 def references(source: str) -> set:
-    """Every bare, attribute and imported name that ``source`` uses."""
+    """Every bare and attribute name that ``source`` reads (imports are not reads)."""
     refs = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
             refs.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            refs.update(alias.name for alias in node.names)
     return refs
 
 
@@ -62,6 +60,13 @@ def test_guard_flags_a_helper_only_the_tests_reach():
     tests = ["from m import Box, helper\nhelper()\nBox().method()\n"]
     assert reached_from_tests_only(program, [], tests) == ["Box", "helper", "method"]
     assert reached_from_tests_only(program, ["Box().method()\n"], tests) == ["helper"]
+
+
+def test_guard_flags_a_name_that_init_only_reexports():
+    module = "def helper():\n    pass\n"
+    init = 'from .m import helper\n\n__all__ = ["helper"]\n'
+    tests = ["from pkg import helper\nhelper()\n"]
+    assert reached_from_tests_only([module, init], [], tests) == ["helper"]
 
 
 def test_no_code_reached_from_the_tests_alone():

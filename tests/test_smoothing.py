@@ -176,7 +176,6 @@ def test_bound_check_reports_a_planted_negative_bracket(monkeypatch):
     monkeypatch.setattr(EscapeSymbol, "x_derivative", planted)
     rep = bound_check(Field.zeros(GRID), ESC)
     assert len(calls) == 1
-    assert rep["eps_doi"] == 0.05
     assert rep["K_measured"] <= 0
     assert "smoothing.doi_K_min" in run_suite("smoothing")["failures"]
 
