@@ -221,8 +221,8 @@ def _smoothing_report(cfg: RunConfig, traj) -> dict:
     }
 
 
-def run_verify(suite: str, out_dir: str | None = None, seed: int = 0) -> dict:
-    report = run_suite(suite, seed=seed)
+def run_verify(suite: str, out_dir: str | None = None) -> dict:
+    report = run_suite(suite)
     for c in report["checks"]:
         flag = "PASS" if c["pass"] else "FAIL"
         print(f"[{flag}] {c['name']}: measured {c['measured']:.6g} "
@@ -294,7 +294,6 @@ def main(argv=None) -> int:
     p_ver = sub.add_parser("verify", help="run an oracle suite")
     p_ver.add_argument("suite", help=f"one of {', '.join(SUITES)} or 'all'")
     p_ver.add_argument("--out", default=None, help="directory for the JSON report")
-    p_ver.add_argument("--seed", type=int, default=0)
     p_rep = sub.add_parser("report", help="summarize an output directory")
     p_rep.add_argument("directory")
     args = parser.parse_args(argv)
@@ -318,7 +317,7 @@ def main(argv=None) -> int:
 
     if args.command == "verify":
         try:
-            report = run_verify(args.suite, out_dir=args.out, seed=args.seed)
+            report = run_verify(args.suite, out_dir=args.out)
         except ValueError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION

@@ -195,11 +195,12 @@ class _StripOperator:
         eye_f = np.eye(n)
         Dx = spectral_derivative(eye_f, grid, 1, axis=0)
         Dx2 = spectral_derivative(eye_f, grid, 2, axis=0)
+        # each coefficient field scales rows by broadcasting, with no (nz n)^3 product
         A = (
-            np.diag(self.czz.ravel()) @ np.kron(self.Dz2, eye_f)
+            self.czz.ravel()[:, None] * np.kron(self.Dz2, eye_f)
             + np.kron(np.eye(nz), Dx2)
-            + np.diag(self.cxz.ravel()) @ np.kron(self.Dz, Dx)
-            + np.diag(self.cz.ravel()) @ np.kron(self.Dz, eye_f)
+            + self.cxz.ravel()[:, None] * np.kron(self.Dz, Dx)
+            + self.cz.ravel()[:, None] * np.kron(self.Dz, eye_f)
         )
         A[:n] = np.eye(n, nz * n)  # Dirichlet rows
         bot = (nz - 1) * n

@@ -609,7 +609,9 @@ def _symbol_time_derivative(eta: Field, eta_t: Field):
 
 
 def symmetrized_residuals(state: WaveState) -> dict:
-    """Residuals F1, F2 of the symmetrized system (and the scalar F).
+    """The scalar reduction ``phi`` = Phi1 + i Phi2 of the symmetrized system
+    and its residual ``f`` = F1 + i F2; the real and imaginary parts of the
+    values are exactly the real fields Phi1, Phi2 and F1, F2.
 
     Uses exact time derivatives of (eta, psi, B) and flow derivatives of the
     symbols p, q, so the result reflects spatial structure only.
@@ -631,10 +633,4 @@ def symmetrized_residuals(state: WaveState) -> dict:
     phi2 = t_q(state.u_good).real()
     f1 = (phi1_t + t_v(x_derivative(phi1)) - t_g(phi2)).real()
     f2 = (phi2_t + t_v(x_derivative(phi2)) + t_g(phi1)).real()
-    return {
-        "phi1": phi1, "phi2": phi2,
-        "phi1_t": phi1_t, "phi2_t": phi2_t,
-        "f1": f1, "f2": f2,
-        "phi": phi1 + phi2 * 1j,
-        "f": f1 + f2 * 1j,
-    }
+    return {"phi": phi1 + phi2 * 1j, "f": f1 + f2 * 1j}

@@ -116,16 +116,15 @@ class Quantizer:
         return self.operator(symbol).apply(u)
 
     def operator(self, symbol: Symbol) -> "DenseOp":
-        return DenseOp(self.grid, self.matrix(symbol), name=symbol.name)
+        return DenseOp(self.grid, self.matrix(symbol))
 
 
 class DenseOp:
     """Matrix-backed operator acting on fields in coefficient space."""
 
-    def __init__(self, grid: Grid, matrix: np.ndarray, name: str = ""):
+    def __init__(self, grid: Grid, matrix: np.ndarray):
         self.grid = grid
         self.matrix = matrix
-        self.name = name
 
     def apply(self, u: Field) -> Field:
         if u.grid != self.grid:
@@ -136,7 +135,7 @@ class DenseOp:
 
     def adjoint(self) -> "DenseOp":
         """Exact L^2 adjoint (conjugate transpose in coefficient space)."""
-        return DenseOp(self.grid, np.conj(self.matrix.T), name=f"{self.name}*")
+        return DenseOp(self.grid, np.conj(self.matrix.T))
 
 
 def shell_field(grid: Grid, j: int, mu: float, rng) -> Field:
@@ -171,25 +170,22 @@ def remainder_order(op_a, op_b, mu: float, naive_order: float, grid: Grid,
 
     Errors are taken in H^(mu - naive_order); on unit-H^mu shell data the
     norm ideally decays like 2^(-j gain) where ``gain`` is the order gained
-    over the naive composition order.  Returns the fitted gain and the raw
-    shell data; shells at the noise floor ``PROBE_FLOOR`` (reported as
+    over the naive composition order.  Returns the fitted gain and the
+    shell ``errors``; shells at the noise floor ``PROBE_FLOOR`` (reported as
     ``floor``) are excluded from the fit.  With fewer than 3 shells left
     (``at_floor``, e.g. A == B) the gain is NaN, which fails every check
     comparison, where inf would pass ">=".
     """
     rng = np.random.default_rng(seed)
-    js, errs = [], []
+    errs = []
     for j in shells:
         u = shell_field(grid, j, mu, rng)
-        diff = op_a(u) - op_b(u)
-        errs.append(sobolev_norm(diff, mu - naive_order))
-        js.append(j)
-    js = np.array(js, dtype=float)
+        errs.append(sobolev_norm(op_a(u) - op_b(u), mu - naive_order))
+    js = np.array(shells, dtype=float)
     errs = np.array(errs)
     usable = errs > PROBE_FLOOR
     at_floor = np.count_nonzero(usable) < 3
     return {
-        "shells": [int(j) for j in js],
         "errors": [float(e) for e in errs],
         "floor": PROBE_FLOOR,
         "at_floor": bool(at_floor),

@@ -255,7 +255,8 @@ def test_verify_records_match_the_stored_values(
         dno_suite, symbols_suite, calculus_suite, smoothing_suite,
         dispersion_checks, conservation_checks, reformulation_checks,
         monitor_checks, kato_checks):
-    """Every ``capwave verify all`` check measures what ``verify_records.json`` holds.
+    """Every ``capwave verify all`` check passes and measures what
+    ``verify_records.json`` holds.
 
     Bit for bit, except the records in RECORD_TOLERANCE, which round
     differently with BLAS on 1 and on 2 threads.  A change that moves a
@@ -265,6 +266,7 @@ def test_verify_records_match_the_stored_values(
     checks = [*dno_suite["checks"], *calculus_suite["checks"], *symbols_suite["checks"],
               *smoothing_suite["checks"], *dispersion_checks, *conservation_checks,
               *reformulation_checks, *monitor_checks, *kato_checks]
+    assert [c["name"] for c in checks if not c["pass"]] == []
     measured = {c["name"]: c["measured"] for c in checks}
     stored = json.loads(VERIFY_RECORDS.read_text())
     assert sorted(measured) == sorted(stored)

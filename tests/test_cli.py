@@ -140,6 +140,18 @@ def test_cli_verify_unknown_suite():
     assert main(["verify", "nonsense"]) == EXIT_VALIDATION
 
 
+def test_cli_verify_takes_no_seed(capsys):
+    # the suites draw every probe from the fixed seed their bounds were set on
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "dno", "--seed", "1"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--help"])
+    assert err.value.code == 0
+    assert "--seed" not in capsys.readouterr().out
+
+
 def test_cli_verify_dno(tmp_path, capsys):
     code = main(["verify", "dno", "--out", str(tmp_path)])
     captured = capsys.readouterr()

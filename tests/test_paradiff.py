@@ -304,6 +304,7 @@ def test_composition_remainder_order(probe_setup):
     Tqh = quant.operator(compose(q, h))
     rep = remainder_order(lambda f: Tq(Th(f)), Tqh.apply, 2.0,
                           q.order + h.order, grid, shells=range(3, 8), seed=1)
+    assert set(rep) == {"errors", "floor", "at_floor", "gain"}
     assert rep["gain"] >= 1.25, rep
 
 

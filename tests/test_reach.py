@@ -1,4 +1,5 @@
-"""Static guard: no code of the package is reached from the tests alone.
+"""Static guards: no code of the package is reached from the tests alone,
+and no parameter goes unread.
 
 A function, method or class defined in ``src/capwave`` that the tests name,
 but that neither the package nor the benchmark harness names, is test
@@ -6,7 +7,8 @@ scaffolding kept in the program: it belongs in the tests.  References are
 AST names, a bare name or an attribute anywhere in a file, matched by name
 alone: a definition that shares its name with anything the program reads
 counts as reached.  An import is not a read, so a name that ``__init__.py``
-only re-exports is not reached.
+only re-exports is not reached.  A parameter that its function's body never
+reads (``self`` and ``cls`` aside) is a setting nothing acts on.
 """
 
 import ast
@@ -54,6 +56,22 @@ def reached_from_tests_only(program: list, harness: list, tests: list) -> list:
     return sorted((defined & tested) - reached)
 
 
+def unread_parameters(source: str) -> list:
+    """``function(parameter)`` for each parameter of ``source`` that its body never reads."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        reads = {n.id for stmt in node.body for n in ast.walk(stmt)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{node.name}({name})" for name in params
+                   if name not in reads and name not in ("self", "cls")]
+    return unread
+
+
 def test_guard_flags_a_helper_only_the_tests_reach():
     program = ["def used():\n    pass\n\n\ndef helper():\n    pass\n\n\n"
                "class Box:\n    def method(self):\n        return used()\n"]
@@ -76,3 +94,13 @@ def test_no_code_reached_from_the_tests_alone():
     assert [name for name in flagged if name not in ALLOWED] == []
     # an allowance the program no longer needs is dropped, not kept
     assert sorted(ALLOWED) == [name for name in flagged if name in ALLOWED]
+
+
+def test_guard_flags_a_parameter_its_function_never_reads():
+    source = ("def f(a, b, *, c=0):\n    return a\n\n\n"
+              "class K:\n    def m(self, d, **kw):\n        return lambda: d\n")
+    assert unread_parameters(source) == ["f(b)", "f(c)", "m(kw)"]
+
+
+def test_every_parameter_is_read():
+    assert [u for p in PACKAGE for u in unread_parameters(p.read_text())] == []

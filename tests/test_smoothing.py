@@ -149,6 +149,7 @@ def test_escape_x_derivative_fd_oracle():
 
 def test_bound_check_flat_surface():
     rep = bound_check(Field.zeros(GRID), ESC)
+    assert set(rep) == {"K_measured", "sum_vs_direct", "i3_plus_i5_min", "i1", "i4", "bracket"}
     assert rep["K_measured"] > 0
     assert rep["sum_vs_direct"] < 1e-12
     assert rep["i3_plus_i5_min"] >= -1e-14
@@ -205,7 +206,9 @@ def test_bound_check_on_eta_corpus():
 
 def test_scalar_reduce_zero_state():
     st = WaveState(0.0, Field.zeros(GRID), Field.zeros(GRID), GEO, nz=24)
-    assert symmetrized_residuals(st)["phi"].max_abs() == 0.0
+    res = symmetrized_residuals(st)
+    assert set(res) == {"phi", "f"}
+    assert res["phi"].max_abs() == 0.0
 
 
 def test_scalar_reduce_linear_regime():
@@ -249,6 +252,7 @@ def test_garding_fit_feasible_at_exact_bound():
     samples = [power_law_field(GRID, 2.5, s) for s in range(4)]
     samples += [gaussian_packet(GRID, 2.0, 10 + s, 1.0) for s in range(4)]
     rep = garding_fit(d_sym, DELTA, samples, quant)
+    assert set(rep) == {"a", "A"}
     assert rep["a"] > 0
     assert rep["A"] >= 0
 
@@ -291,6 +295,7 @@ def test_af_identity_quadrature_convergence(packet_states):
     coarse, fine = packet_states
     rep_c = af_identity_check(coarse.states, ESC)
     rep_f = af_identity_check(fine.states, ESC)
+    assert set(rep_c) == {"lhs", "defect", "bound_ratio"}
     assert rep_c["defect"] <= 1e-3 * abs(rep_c["lhs"]) + 1e-14
     assert rep_f["defect"] <= 0.35 * rep_c["defect"] + 1e-16
     assert rep_f["bound_ratio"] <= 10.0

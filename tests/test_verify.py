@@ -42,9 +42,9 @@ def test_dno_suite_determinism_and_timings():
 
 def test_all_merges_checks_and_timings(monkeypatch):
     for i, name in enumerate(SUITES):
-        def fake(seed, timings, name=name, i=i):
-            timings[f"{name}.t"] = {"seconds": 0.5 * i}
-            return [verify._check(f"{name}.c", float(i), 2.0)]
+        def fake(name=name, i=i):
+            checks = [verify._check(f"{name}.c", float(i), 2.0)]
+            return checks, {f"{name}.t": {"seconds": 0.5 * i}}
         monkeypatch.setattr(verify, f"_suite_{name}", fake)
     rep = run_suite("all")
     assert rep["suite"] == "all"
