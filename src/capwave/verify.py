@@ -2,9 +2,9 @@
 
 Each suite is a function of no arguments that returns its checks, one entry
 per check carrying the measured value, the tolerance it was held to, and the
-verdict, with its wall-clock timings.  The checks are deterministic: every
-probe draws from a fixed seed, the one its bounds were set on, and the
-timings never decide the verdict.  The evolution suite gathers the
+verdict.  The checks are deterministic: every probe draws from a fixed seed,
+the one its bounds were set on.  ``run_suite`` alone reads the clock, once
+per suite, and no timing decides a verdict.  The evolution suite gathers the
 trajectory-level experiments (dispersion, conservation, reformulation
 equivalence, a priori monitor, Kato sweep); the four operator suites cover
 the Dirichlet-Neumann solver, the symbol constructions, the paradifferential
@@ -47,39 +47,20 @@ def _check(name, measured, threshold, comparator="<="):
             "pass": bool(ok)}
 
 
-def _timing(seconds, budget_s=None):
-    entry = {"seconds": float(seconds)}
-    if budget_s is not None:
-        entry["budget_s"] = float(budget_s)
-    return entry
-
-
 def run_suite(suite: str) -> dict:
     """Run one suite, or every suite for ``"all"``, and return its report.
 
     ``checks`` holds only deterministic measurements, and ``passed`` and
-    ``failures`` are computed from them alone.  ``timings`` maps a name to
-    its wall-clock ``seconds`` (with a ``budget_s`` where one applies); the
-    ``all`` report merges each suite's timings and adds its elapsed time.
+    ``failures`` are computed from them alone.  ``timings`` maps each suite
+    that ran to its wall-clock seconds.
     """
-    started = time.perf_counter()
-    if suite == "all":
-        checks, timings = [], {}
-        for name in SUITES:
-            rep = run_suite(name)
-            checks.extend(rep["checks"])
-            timings.update(rep["timings"])
-            timings[f"{name}.elapsed_s"] = _timing(rep["elapsed_s"])
-    elif suite in SUITES:
-        checks, timings = globals()[f"_suite_{suite}"]()
-    else:
+    if suite not in (*SUITES, "all"):
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES} or 'all'")
-    report = _finish(suite, checks, timings)
-    report["elapsed_s"] = round(time.perf_counter() - started, 3)
-    return report
-
-
-def _finish(suite, checks, timings):
+    checks, timings = [], {}
+    for name in SUITES if suite == "all" else (suite,):
+        started = time.perf_counter()
+        checks.extend(globals()[f"_suite_{name}"]())
+        timings[name] = time.perf_counter() - started
     return {
         "suite": suite,
         "checks": checks,
@@ -92,13 +73,12 @@ def _finish(suite, checks, timings):
 # -- dno ---------------------------------------------------------------------
 
 
-def _suite_dno() -> tuple[list, dict]:
-    checks, timings = [], {}
+def _suite_dno() -> list:
+    checks = []
     geo = Geometry("flat_bottom", 1.0)
 
-    # flat oracle at production resolution, timed outside the checks
+    # flat oracle at production resolution
     grid = Grid(256, 2 * np.pi)
-    t0 = time.perf_counter()
     worst = 0.0
     for k in range(1, 21):
         psi = Field(grid, np.cos(k * grid.x))
@@ -106,7 +86,6 @@ def _suite_dno() -> tuple[list, dict]:
         target = k * np.tanh(k)
         worst = max(worst, np.max(np.abs(g.values - target * np.cos(k * grid.x))) / target)
     checks.append(_check("dno.flat_oracle_rel", worst, 1e-8))
-    timings["dno.flat_oracle_runtime_s"] = _timing(time.perf_counter() - t0, 5.0)
 
     # shape derivative vs centered differences with Richardson confirmation
     g128 = Grid(128, 2 * np.pi)
@@ -178,13 +157,13 @@ def _suite_dno() -> tuple[list, dict]:
         g_dn = dirichlet_neumann(eta_l, psi_l, geo_l, 16, method="dense")
         worst = max(worst, np.max(np.abs(g_it.values - g_dn.values)) / g_dn.max_abs())
     checks.append(_check("dno.large_amplitude_oracle_rel", worst, 1e-9))
-    return checks, timings
+    return checks
 
 
 # -- symbols -----------------------------------------------------------------
 
 
-def _suite_symbols() -> tuple[list, dict]:
+def _suite_symbols() -> list:
     checks = []
     grid = Grid(128, 2 * np.pi)
     eta = Field(grid, 0.1 * np.cos(grid.x) + 0.05 * np.cos(2 * grid.x + 0.7))
@@ -265,13 +244,13 @@ def _suite_symbols() -> tuple[list, dict]:
                           * spectral_derivative(gam.principal_at(xi), grid, axis=0)))
     checks.append(_check("symbols.weight_bracket_rel",
                          np.max(np.abs(br)) / max(scale, 1.0), 1e-10))
-    return checks, {}
+    return checks
 
 
 # -- calculus ----------------------------------------------------------------
 
 
-def _suite_calculus() -> tuple[list, dict]:
+def _suite_calculus() -> list:
     checks = []
     grid = Grid(1024, 2 * np.pi)
     quant = Quantizer(grid)
@@ -349,13 +328,13 @@ def _suite_calculus() -> tuple[list, dict]:
             comm = tj(tg(u)) - tg(tj(u))
             worst = max(worst, sobolev_norm(comm, mu) / sobolev_norm(u, mu))
     checks.append(_check("calculus.mollifier_commutator_uniform", worst, 10.0))
-    return checks, {}
+    return checks
 
 
 # -- smoothing ---------------------------------------------------------------
 
 
-def _suite_smoothing() -> tuple[list, dict]:
+def _suite_smoothing() -> list:
     checks = []
     grid = Grid(128, 16 * np.pi)
     geo = Geometry("flat_bottom", 1.0)
@@ -407,19 +386,19 @@ def _suite_smoothing() -> tuple[list, dict]:
     checks.append(_check("smoothing.af_bound_ratio", rep["bound_ratio"], 10.0))
     checks.append(_check("smoothing.kato_finite",
                          kato_integral(traj), 1e6))
-    return checks, {}
+    return checks
 
 
 # -- evolution ---------------------------------------------------------------
 
 
-def _suite_evolution() -> tuple[list, dict]:
+def _suite_evolution() -> list:
     return [*dispersion_battery(), *conservation_battery(), *reformulation_battery(),
-            *monitor_battery(), *kato_battery()], {}
+            *monitor_battery(), *kato_battery()]
 
 
 def dispersion_battery() -> list:
-    """Criterion-level dispersion fit on small standing modes.
+    """Dispersion fit on small standing modes.
 
     Modes k = 1, 2, 4 at amplitude 1e-4, each run for 3 periods at 200
     steps per period.

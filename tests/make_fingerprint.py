@@ -36,8 +36,8 @@ The entries:
 
 ``verify_records.json`` holds the ``measured`` value of every ``capwave
 verify all`` check, which ``test_acceptance.py`` compares with the values
-its fixtures measure.  The script rewrites it too (``run_suite("all")``,
-about 80 s).
+its one ``run_suite("all")`` fixture measures.  The script rewrites it too
+(``run_suite("all")``, about 80 s).
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Verify-suite plumbing: structure, determinism, timings."""
 
+import json
+
 import pytest
 
 from capwave import verify
@@ -32,27 +34,24 @@ def test_dno_suite_determinism_and_timings():
     assert rep1["passed"] is True
     assert ([(c["name"], c["measured"]) for c in rep1["checks"]]
             == [(c["name"], c["measured"]) for c in rep2["checks"]])
-    assert "dno.flat_oracle_runtime_s" not in [c["name"] for c in rep1["checks"]]
     oracle = next(c for c in rep1["checks"] if c["name"] == "dno.large_amplitude_oracle_rel")
     assert oracle["threshold"] == 1e-9 and oracle["pass"]
-    runtime = rep1["timings"]["dno.flat_oracle_runtime_s"]
-    assert runtime["seconds"] > 0.0
-    assert runtime["budget_s"] == 5.0
+    # one clock reading per suite, and no timing carries a budget
+    assert list(rep1["timings"]) == ["dno"]
+    assert isinstance(rep1["timings"]["dno"], float) and rep1["timings"]["dno"] > 0.0
+    assert "budget" not in json.dumps(rep1)
 
 
 def test_all_merges_checks_and_timings(monkeypatch):
     for i, name in enumerate(SUITES):
         def fake(name=name, i=i):
-            checks = [verify._check(f"{name}.c", float(i), 2.0)]
-            return checks, {f"{name}.t": {"seconds": 0.5 * i}}
+            return [verify._check(f"{name}.c", float(i), 2.0)]
         monkeypatch.setattr(verify, f"_suite_{name}", fake)
     rep = run_suite("all")
+    assert set(rep) == {"suite", "checks", "passed", "failures", "timings"}
     assert rep["suite"] == "all"
     assert [c["name"] for c in rep["checks"]] == [f"{n}.c" for n in SUITES]
     assert rep["failures"] == [f"{n}.c" for n in SUITES[3:]]
     assert rep["passed"] is False
-    for i, name in enumerate(SUITES):
-        assert rep["timings"][f"{name}.t"] == {"seconds": 0.5 * i}
-        assert rep["timings"][f"{name}.elapsed_s"]["seconds"] >= 0.0
-    assert rep["elapsed_s"] >= 0.0
-
+    assert list(rep["timings"]) == list(SUITES)
+    assert all(seconds >= 0.0 for seconds in rep["timings"].values())
